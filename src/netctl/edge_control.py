@@ -1,12 +1,20 @@
-"""Edge (switchboard) controllability via matching in edge space.
+"""Edge (switchboard) controllability by degree arithmetic.
 
-The maximum matching runs on the bipartite split of the line digraph;
-unmatched edge-space in-copies are the driver edges. Controlling an edge
-is delegated to its source node, so the edge-control driver-node set is
-the set of unique sources of driver edges. Both fractions are reported:
-m_d over edges (what is actually controlled) and n_d over nodes (what
-injects the signals). Isolated nodes do not exist in edge space and are
-never drivers here.
+Driver edges are the unmatched in-copies of a maximum matching on the
+bipartite split of the line digraph (edge space). Edge e = (u -> v) is a
+left node only in v's block and a right node only in u's block, so that
+graph is a disjoint union of complete blocks K(k_in(v), k_out(v)) and
+every quantity has a closed form in node degrees; no edge-space graph is
+built. This is the divergent-node result of Nepusz & Vicsek,
+"Controlling edge dynamics in complex networks", Nature Physics 8, 568
+(2012).
+
+Controlling an edge is delegated to its source node, so the edge-control
+driver nodes are the driver-edge sources: the divergent nodes
+(k_out > k_in), or in the floor case the source of the smallest edge.
+Both fractions are reported: m_d over edges (what is actually
+controlled) and n_d over nodes (what injects the signals). Isolated
+nodes do not exist in edge space and are never drivers here.
 """
 
 from __future__ import annotations
@@ -14,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError
-from .graph import DirectedGraph, Edge, to_bipartite, to_line_digraph
-from .matching import has_alternate_maximum_matching, maximum_matching
-from .node_control import ALTERNATE_CHECK_LIMIT
+from .graph import DirectedGraph, Edge
+
+# Unused here; kept as module attributes because bench/tracer.py wraps them by name.
+from .graph import to_bipartite, to_line_digraph  # noqa: F401
+from .matching import has_alternate_maximum_matching, maximum_matching  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -36,11 +46,20 @@ class EdgeControlAnalysis:
 def analyze_edge_control(g: DirectedGraph) -> EdgeControlAnalysis:
     """Driver edges and driver nodes for controllability of edge states.
 
-    |driver_edges| = max(E - |M|, 1) for E >= 1, where M is the canonical
-    maximum matching on the bipartite split of the line digraph; a
-    perfectly matched edge space falls back to one canonical driver edge
-    (the lexicographically smallest). An edgeless graph needs nothing:
-    all sets empty, m_d = n_d = 0.
+    One O(N + E) pass over node degrees:
+
+    - line_matching_size = sum over v of min(k_in(v), k_out(v)).
+    - Driver edges are the last k_out - k_in out-edges, by ascending
+      target, of each node with k_out > k_in: the in-copies the canonical
+      Hopcroft-Karp matching leaves unmatched, since its first phase gives
+      each in-edge of v the smallest free out-edge of v.
+    - Floor case: when k_in = k_out everywhere, edge space is perfectly
+      matched and the one driver edge is the lexicographically smallest.
+    - alternate_matchings is exact: a block K(a, b) has a second maximum
+      matching iff min(a, b) >= 1 and max(a, b) >= 2.
+
+    So |driver_edges| = max(E - line_matching_size, 1) for E >= 1. An
+    edgeless graph needs nothing: all sets empty, m_d = n_d = 0.
     """
     edge_total = g.edge_count
     if edge_total == 0:
@@ -52,21 +71,26 @@ def analyze_edge_control(g: DirectedGraph) -> EdgeControlAnalysis:
             line_matching_size=0,
             alternate_matchings=False,
         )
-    ld = to_line_digraph(g)
-    b = to_bipartite(ld.graph)
-    m = maximum_matching(b)
-    unmatched = set(m.unmatched_right) or {0}
-    driver_edges = frozenset(ld.edge_of_node[i] for i in unmatched)
+    _, ins = g.degrees()
+    matched = 0
+    alternates = False
+    driver_edges: list[Edge] = []
+    for v, targets in enumerate(g.out_adjacency()):
+        k_in, k_out = ins[v], len(targets)
+        low = min(k_in, k_out)
+        matched += low
+        if low and max(k_in, k_out) >= 2:
+            alternates = True
+        driver_edges.extend((v, w) for w in targets[k_in:])
+    if not driver_edges:
+        driver_edges.append(min(g.edges))
     driver_nodes = frozenset(src for src, _ in driver_edges)
-    alternates: bool | None = None
-    if ld.graph.node_count <= ALTERNATE_CHECK_LIMIT:
-        alternates = has_alternate_maximum_matching(b, m)
     return EdgeControlAnalysis(
-        driver_edges=driver_edges,
+        driver_edges=frozenset(driver_edges),
         m_d=len(driver_edges) / edge_total,
         driver_nodes=driver_nodes,
         n_d=len(driver_nodes) / g.node_count,
-        line_matching_size=m.size,
+        line_matching_size=matched,
         alternate_matchings=alternates,
     )
 

@@ -20,7 +20,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ContractViolationError,
@@ -38,6 +37,14 @@ MAX_GRAMIAN_CONDITION = 1e12
 
 #: Default panel count for the composite-Simpson Gramian quadrature.
 GRAMIAN_PANELS = 200
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential via scipy.linalg.expm, imported on first call so
+    commands that never steer do not load scipy."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)
@@ -172,9 +179,9 @@ def controllability_matrix(s: LtiSystem) -> np.ndarray:
     for k in range(n):
         if k:
             block = s.a @ block
-        norms = np.linalg.norm(block, axis=0)
-        nonzero = norms > 0.0
-        block[:, nonzero] /= norms[nonzero]
+        norms = np.sqrt(np.add.reduce(block * block, axis=0))
+        norms[norms == 0.0] = 1.0
+        block /= norms
         q[:, k * m : (k + 1) * m] = block
     return q
 

@@ -3,6 +3,9 @@
 These deliberately avoid the library's own algorithms: matching sizes
 come from a bitmask DP over right nodes, reachability from a plain BFS,
 and the matrix exponential reference from mpmath at high precision.
+Two references keep a former formulation instead: edge control by an
+explicit Hopcroft-Karp matching on the line digraph, and the
+controllability matrix normalized with ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from netctl.graph import DirectedGraph
+from netctl.edge_control import EdgeControlAnalysis
+from netctl.graph import DirectedGraph, to_bipartite, to_line_digraph
+from netctl.kalman import LtiSystem
+from netctl.matching import has_alternate_maximum_matching, maximum_matching
 
 
 def max_matching_size_brute(left_count: int, right_count: int, edges) -> int:
@@ -57,6 +63,47 @@ def controllability_matrix_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     blocks = [np.linalg.matrix_power(a, k) @ b for k in range(n)]
     return np.hstack(blocks)
+
+
+def controllability_matrix_reference(s: LtiSystem) -> np.ndarray:
+    """[B, AB, ..., A^(N-1)B] with each block's columns scaled to unit
+    norm by ``np.linalg.norm`` (zero columns left as they are)."""
+    n, m = s.n, s.m
+    q = np.empty((n, n * m))
+    block = np.array(s.b, dtype=float)
+    for k in range(n):
+        if k:
+            block = s.a @ block
+        norms = np.linalg.norm(block, axis=0)
+        nonzero = norms > 0.0
+        block[:, nonzero] /= norms[nonzero]
+        q[:, k * m : (k + 1) * m] = block
+    return q
+
+
+def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
+    """Edge control from a canonical Hopcroft-Karp matching on the
+    bipartite split of the line digraph: unmatched in-copies are the
+    driver edges (floor: edge-space node 0, the smallest edge), and the
+    alternate-matching flag comes from re-solving without each matched
+    pair, at every size."""
+    e = g.edge_count
+    if e == 0:
+        return EdgeControlAnalysis(frozenset(), 0.0, frozenset(), 0.0, 0, False)
+    ld = to_line_digraph(g)
+    b = to_bipartite(ld.graph)
+    m = maximum_matching(b)
+    unmatched = set(m.unmatched_right) or {0}
+    driver_edges = frozenset(ld.edge_of_node[i] for i in unmatched)
+    driver_nodes = frozenset(src for src, _ in driver_edges)
+    return EdgeControlAnalysis(
+        driver_edges=driver_edges,
+        m_d=len(driver_edges) / e,
+        driver_nodes=driver_nodes,
+        n_d=len(driver_nodes) / g.node_count,
+        line_matching_size=m.size,
+        alternate_matchings=has_alternate_maximum_matching(b, m),
+    )
 
 
 def expm_reference(a: np.ndarray, dps: int = 50) -> np.ndarray:

@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netctl
 from netctl.cli import main
+from netctl.graph import parse_edge_list
+
+from .oracles import edge_control_via_line_digraph
 
 STAR = "0 1\n0 2\n"
 RECIPROCAL_CHAIN = "0 1\n1 2\n2 1\n2 3\n"
@@ -144,6 +152,18 @@ class TestGenerate:
         code, report = run_json(capsys, ["analyze", str(out)])
         assert code == 0
         assert report["input"]["edge_count"] == 60
+
+    def test_edge_alternate_flag_is_a_bool_above_100_edges(self, capsys, tmp_path):
+        out = tmp_path / "g.txt"
+        main(["generate", "--model", "er", "--n", "60", "--k", "3",
+              "--seed", "1", "--out", str(out)])
+        code, report = run_json(capsys, ["analyze", str(out)])
+        assert code == 0
+        assert report["input"]["edge_count"] > 100
+        flag = report["edge_control"]["alternate_matchings"]
+        assert isinstance(flag, bool)
+        g = parse_edge_list(out.read_text())
+        assert flag == edge_control_via_line_digraph(g).alternate_matchings
 
     def test_infeasible_spec_exits_2(self, capsys):
         assert main(["generate", "--model", "er", "--n", "5", "--k", "5"]) == 2
@@ -306,6 +326,14 @@ class TestSteer:
 
     def test_bad_vector_exits_2(self, capsys, star_file):
         assert main(["steer", star_file, "--drivers", "0,2", "--xf", "1,2"]) == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(netctl.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, netctl.cli; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env)
+    assert result.returncode == 0, "importing netctl.cli loaded scipy"
 
 
 def test_version_flag(capsys):

@@ -9,7 +9,7 @@ from netctl.errors import ContractViolationError
 from netctl.graph import DirectedGraph, to_line_digraph
 
 from .conftest import directed_graphs
-from .oracles import max_matching_size_brute
+from .oracles import edge_control_via_line_digraph, max_matching_size_brute
 
 
 @st.composite
@@ -116,6 +116,22 @@ def test_deficiency_counts_path_leading_edges(case):
     g, path_count = case
     a = analyze_edge_control(g)
     assert g.edge_count - a.line_matching_size == path_count
+
+
+@given(directed_graphs(max_nodes=12, max_edges=40))
+def test_matches_line_digraph_matching(g):
+    # driver edges, driver nodes, |M|, m_d, n_d and the alternate flag
+    assert analyze_edge_control(g) == edge_control_via_line_digraph(g)
+
+
+def test_alternate_flag_is_exact_above_100_edges():
+    hub_in = tuple((i, 0) for i in range(1, 61))
+    hub_out = tuple((0, i) for i in range(61, 121))
+    g = DirectedGraph(121, tuple(sorted(hub_in + hub_out)))
+    assert analyze_edge_control(g).alternate_matchings is True
+    chains = tuple((i, i + 1) for i in range(0, 240, 2))
+    g = DirectedGraph(241, chains)
+    assert analyze_edge_control(g).alternate_matchings is False
 
 
 class TestDriverEdgeReport:

@@ -26,7 +26,11 @@ from netctl.kalman import (
 )
 
 from .conftest import directed_graphs
-from .oracles import controllability_matrix_naive, expm_reference
+from .oracles import (
+    controllability_matrix_naive,
+    controllability_matrix_reference,
+    expm_reference,
+)
 
 
 def star_system(a=0.7, b=1.3, drivers=(0,)):
@@ -103,6 +107,17 @@ class TestControllabilityMatrix:
         normalized = matrix_rank(controllability_matrix(s))
         plain = np.linalg.matrix_rank(controllability_matrix_naive(s.a, s.b))
         assert normalized == plain
+
+    @given(directed_graphs(max_nodes=8), st.data())
+    def test_bit_identical_to_norm_reference(self, g, data):
+        drivers = data.draw(
+            st.sets(st.integers(0, g.node_count - 1), min_size=1)
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        s = system_from_graph(g, drivers, rng=np.random.default_rng(seed))
+        assert np.array_equal(
+            controllability_matrix(s), controllability_matrix_reference(s)
+        )
 
 
 class TestStructuralRankTest:
