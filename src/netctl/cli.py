@@ -81,8 +81,7 @@ def _flag(value: bool | None):
 
 def _load(path: str) -> tuple[ParsedEdgeList, str]:
     data = Path(path).read_bytes()
-    parsed = parse_edge_list_report(data.decode("utf-8"))
-    return parsed, hashlib.sha256(data).hexdigest()
+    return parse_edge_list_report(data), hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------- analyze
@@ -382,7 +381,10 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
         raise NetctlError(f"{what} must be comma-separated numbers or 'zeros'")
     if len(values) != n:
         raise NetctlError(f"{what} needs {n} entries, got {len(values)}")
-    return np.array(values)
+    vector = np.array(values)
+    if not np.isfinite(vector).all():
+        raise NetctlError(f"{what} entries must be finite, got {text!r}")
+    return vector
 
 
 def cmd_steer(args) -> int:
@@ -490,7 +492,7 @@ def main(argv=None) -> int:
     except (UncontrollableError, IllConditionedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (NetctlError, OSError, UnicodeDecodeError) as exc:
+    except (NetctlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

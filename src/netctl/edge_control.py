@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractViolationError
 from .graph import DirectedGraph, Edge
 
@@ -46,7 +48,7 @@ class EdgeControlAnalysis:
 def analyze_edge_control(g: DirectedGraph) -> EdgeControlAnalysis:
     """Driver edges and driver nodes for controllability of edge states.
 
-    One O(N + E) pass over node degrees:
+    One O(N + E) vectorised pass over the degree and edge arrays:
 
     - line_matching_size = sum over v of min(k_in(v), k_out(v)).
     - Driver edges are the last k_out - k_in out-edges, by ascending
@@ -71,26 +73,22 @@ def analyze_edge_control(g: DirectedGraph) -> EdgeControlAnalysis:
             line_matching_size=0,
             alternate_matchings=False,
         )
-    _, ins = g.degrees()
-    matched = 0
-    alternates = False
-    driver_edges: list[Edge] = []
-    for v, targets in enumerate(g.out_adjacency()):
-        k_in, k_out = ins[v], len(targets)
-        low = min(k_in, k_out)
-        matched += low
-        if low and max(k_in, k_out) >= 2:
-            alternates = True
-        driver_edges.extend((v, w) for w in targets[k_in:])
+    outs, ins = g.degree_arrays()
+    low = np.minimum(ins, outs)
+    alternates = bool(((low >= 1) & (np.maximum(ins, outs) >= 2)).any())
+    # rank of each edge among its source's out-edges, by ascending target
+    rank = np.arange(edge_total) - g.indptr[g.src]
+    surplus = rank >= ins[g.src]
+    driver_edges = list(zip(g.src[surplus].tolist(), g.dst[surplus].tolist()))
     if not driver_edges:
-        driver_edges.append(min(g.edges))
+        driver_edges.append((int(g.src[0]), int(g.dst[0])))
     driver_nodes = frozenset(src for src, _ in driver_edges)
     return EdgeControlAnalysis(
         driver_edges=frozenset(driver_edges),
         m_d=len(driver_edges) / edge_total,
         driver_nodes=driver_nodes,
         n_d=len(driver_nodes) / g.node_count,
-        line_matching_size=matched,
+        line_matching_size=int(low.sum()),
         alternate_matchings=alternates,
     )
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GenerationStallError, InfeasibleSpecError
 from .graph import DirectedGraph
 
@@ -101,12 +103,6 @@ class GeneratorSpec:
         return int(self.mean_degree * self.n + 0.5)
 
 
-def _decode_pair(k: int, n: int) -> tuple[int, int]:
-    """k-th ordered pair in [0, n*(n-1)), diagonal skipped."""
-    src, rem = divmod(k, n - 1)
-    return src, rem + (rem >= src)
-
-
 def generate_er(spec: GeneratorSpec) -> DirectedGraph:
     """Uniform digraph with exactly E = round(mean_degree * n) edges.
 
@@ -123,8 +119,10 @@ def generate_er(spec: GeneratorSpec) -> DirectedGraph:
     for j in range(population - target, population):
         t = rng.next_below(j + 1)
         chosen.add(t if t not in chosen else j)
-    edges = sorted(_decode_pair(k, spec.n) for k in chosen)
-    return DirectedGraph(spec.n, tuple(edges))
+    # k-th ordered pair of [0, n*(n-1)), row-major with the diagonal skipped
+    k = np.array(sorted(chosen), dtype=np.int64)
+    src, rem = np.divmod(k, spec.n - 1)
+    return DirectedGraph.from_arrays(spec.n, src, rem + (rem >= src))
 
 
 def generate_sf(spec: GeneratorSpec) -> DirectedGraph:
@@ -140,7 +138,7 @@ def generate_sf(spec: GeneratorSpec) -> DirectedGraph:
     rng = SplitMix64(spec.seed)
     target = spec.edge_count
     if target == 0:
-        return DirectedGraph(spec.n, ())
+        return DirectedGraph(spec.n)
 
     alpha = 1.0 / (spec.gamma - 1.0)
     cumulative: list[float] = []
@@ -167,7 +165,7 @@ def generate_sf(spec: GeneratorSpec) -> DirectedGraph:
             continue
         rejections = 0
         edges.add((src, dst))
-    return DirectedGraph(spec.n, tuple(sorted(edges)))
+    return DirectedGraph(spec.n, edges)
 
 
 def generate(spec: GeneratorSpec) -> DirectedGraph:

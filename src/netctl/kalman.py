@@ -140,20 +140,19 @@ def system_from_graph(
         raise ContractViolationError("Kalman condition requires M >= 1 inputs")
     if driver_list[0] < 0 or driver_list[-1] >= g.node_count:
         raise ContractViolationError("driver ids out of range")
-    edges = sorted(g.edges)
+    e = g.edge_count
     if weights is None:
         if rng is None:
             rng = np.random.default_rng(0)
-        weights = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=len(edges))
+        weights = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=e)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(edges),):
+    if weights.shape != (e,):
         raise ContractViolationError("need exactly one weight per edge")
-    if len(edges) and not np.all(weights != 0.0):
+    if e and not np.all(weights != 0.0):
         raise ContractViolationError("edge weights must be nonzero")
 
     a = np.zeros((g.node_count, g.node_count))
-    for (src, dst), w in zip(edges, weights):
-        a[dst, src] = w
+    a[g.dst, g.src] = weights  # edges are in lexicographic order
     if damping is not None:
         damping = np.asarray(damping, dtype=float)
         if damping.shape != (g.node_count,):
@@ -287,7 +286,7 @@ def _pattern_graph(s: LtiSystem) -> DirectedGraph:
         for j in range(s.n)
         if i != j and s.a[i, j] != 0.0
     ]
-    return DirectedGraph(s.n, tuple(sorted(edges)))
+    return DirectedGraph(s.n, edges)
 
 
 def _rk4(

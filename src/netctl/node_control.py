@@ -1,9 +1,10 @@
 """Structural node controllability via the minimum input theorem.
 
 Driver nodes are the unmatched in-copies of a maximum matching on the
-plus/minus bipartite split. A perfectly matched graph still needs one
-input, so the driver count has a floor of one; the canonical choice is
-node 0. Note that this floor (and the unmatched-node rule itself) is the
+plus/minus bipartite split, read straight from the digraph's arrays
+(left node i is the out-copy, right node i the in-copy of node i). A
+perfectly matched graph still needs one input, so the driver count has
+a floor of one; the canonical choice is node 0. Note that this floor (and the unmatched-node rule itself) is the
 standard matching-based count: it assumes the driver set can reach the
 whole graph, which fails for graphs with perfectly matched components
 that no driver can reach (see the oracle module for the numerical test).
@@ -14,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EmptyGraphError
-from .graph import DirectedGraph, to_bipartite
+from .graph import DirectedGraph
 from .matching import has_alternate_maximum_matching, maximum_matching
+
+# Unused here; kept as a module attribute because bench/tracer.py wraps it by name.
+from .graph import to_bipartite  # noqa: F401
 
 #: Above this node count the alternate-matching search is skipped and the
 #: flag reported as None ("unchecked").
@@ -50,12 +54,11 @@ def analyze_node_control(g: DirectedGraph) -> NodeControlAnalysis:
     """
     if g.node_count == 0:
         raise EmptyGraphError("node control is undefined on an empty graph")
-    b = to_bipartite(g)
-    m = maximum_matching(b)
+    m = maximum_matching(g)
     drivers = set(m.unmatched_right) or {0}
     alternates: bool | None = None
     if g.node_count <= ALTERNATE_CHECK_LIMIT:
-        alternates = has_alternate_maximum_matching(b, m)
+        alternates = has_alternate_maximum_matching(g, m)
     return NodeControlAnalysis(
         driver_nodes=frozenset(drivers),
         n_d=len(drivers) / g.node_count,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import statistics
@@ -18,6 +19,16 @@ from .oracles import edge_control_via_line_digraph
 
 STAR = "0 1\n0 2\n"
 RECIPROCAL_CHAIN = "0 1\n1 2\n2 1\n2 3\n"
+HAND_WRITTEN = (
+    b"# hand-written: comments, blank lines, duplicates, sparse and huge ids\n"
+    b"\n"
+    b"   # an indented comment\n"
+    b"10 20\n10 20\n20 10\n10\t30\n30 40   \r\n\n40 10\n"
+    b"9223372036854775808 10\n"
+    b"18446744073709551616 9223372036854775808\n"
+    b"99999999999999999999999 30\n"
+    b"007 40\n40 7\n"
+)
 
 
 @pytest.fixture
@@ -109,6 +120,17 @@ class TestAnalyze:
         path.write_text("# no edges\n")
         assert main(["analyze", str(path)]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"0 1\n1_0 2\n", b"0 1\n+3 4\n", "0 1\n\u0663 4\n".encode(),
+        b"0 1\n2 \xff3\n",
+    ])
+    def test_non_ascii_digit_ids_and_bad_utf8_exit_2_with_line(
+            self, capsys, tmp_path, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "no/such/file.txt"]) == 2
 
@@ -117,6 +139,49 @@ class TestAnalyze:
         assert main(["analyze", star_file, "--out", str(out1)]) == 0
         assert main(["analyze", star_file, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestGoldenBytes:
+    """Digests of generated edge lists and of their ``analyze`` reports,
+    taken from the tuple-based implementation this array-backed one
+    replaced. A report states the input path, so each runs on a relative
+    name inside its own directory."""
+
+    @pytest.mark.parametrize("name, generate_args, input_sha, report_sha", [
+        ("er.txt", ["--model", "er", "--n", "1000", "--k", "3", "--seed", "11"],
+         "6cf0c1ba8ecc1e2be53cc37dd1c1844b32651056de4f3be1babd1bfc7aa6bb3c",
+         "72a10026161c1d6f66b5446b79c9b81af0214acf43248e193d3c98865e772011"),
+        ("sf.txt", ["--model", "sf", "--n", "2000", "--k", "2", "--gamma", "2.5",
+                    "--seed", "5"],
+         "dc4039b26c4d96bf5150f87d62f8556c3c73714f29fe49990bef9565442ddb93",
+         "68e5139e0d9003555dc5dc520a51f40da166ebc11b0e4ef6bac408df507cdc9c"),
+        ("hand.txt", None,
+         "de7f04b4e893aa335c169fb6062d1c010c968015deb67052e5fccaaf93f690ab",
+         "79faa5a8d55e0b0e6f90ab48df8737efd4d681314160dfe98b1cc1d5304d6b84"),
+    ])
+    def test_analyze_report_bytes(self, tmp_path, monkeypatch, name, generate_args,
+                                  input_sha, report_sha):
+        monkeypatch.chdir(tmp_path)
+        if generate_args is None:
+            Path(name).write_bytes(HAND_WRITTEN)
+        else:
+            assert main(["generate", *generate_args, "--out", name]) == 0
+        assert sha256_of(name) == input_sha
+        assert main(["analyze", name, "--out", "report.json"]) == 0
+        assert sha256_of("report.json") == report_sha
+
+    def test_ids_beyond_int64_reported_verbatim(self, capsys, tmp_path):
+        path = tmp_path / "hand.txt"
+        path.write_bytes(HAND_WRITTEN)
+        code, report = run_json(capsys, ["analyze", str(path)])
+        assert code == 0
+        assert report["node_control"]["driver_nodes"] == [
+            18446744073709551616, 99999999999999999999999,
+        ]
 
 
 class TestGenerate:
@@ -327,6 +392,17 @@ class TestSteer:
     def test_bad_vector_exits_2(self, capsys, star_file):
         assert main(["steer", star_file, "--drivers", "0,2", "--xf", "1,2"]) == 2
 
+    @pytest.mark.parametrize("flag, vector", [
+        ("--xf", "nan,1,1"), ("--xf", "1,inf,1"), ("--x0", "0,0,-inf"),
+    ])
+    def test_non_finite_vector_exits_2(self, capsys, star_file, tmp_path, flag, vector):
+        out = tmp_path / "traj.csv"
+        args = ["steer", star_file, "--drivers", "0,2", "--xf", "1,1,1",
+                "--out", str(out), flag, vector]
+        assert main(args) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_cli_import_does_not_load_scipy():
     src = Path(netctl.__file__).resolve().parents[1]
@@ -334,6 +410,20 @@ def test_cli_import_does_not_load_scipy():
     probe = "import sys, netctl.cli; sys.exit('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env)
     assert result.returncode == 0, "importing netctl.cli loaded scipy"
+
+
+def test_analyze_does_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use: ~30 ms on every CLI start
+    src = Path(netctl.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    (tmp_path / "g.txt").write_text(STAR)
+    probe = (
+        "import sys; from netctl.cli import main; "
+        "main(['analyze', 'g.txt', '--out', 'r.json']); "
+        "sys.exit('numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path)
+    assert result.returncode == 0, "analyze loaded numpy.ma"
 
 
 def test_version_flag(capsys):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netctl.errors import EdgeListParseError, EmptyGraphError, SelfLoopError
 from netctl.graph import (
     BipartiteGraph,
     DirectedGraph,
+    _scan_ids,
+    _scan_lines,
     compute_stats,
     parse_edge_list,
     parse_edge_list_report,
@@ -17,6 +19,13 @@ from netctl.graph import (
 )
 
 from .conftest import directed_graphs
+
+#: Pieces of edge-list text, valid and not, for the scanner-equivalence test.
+TEXT_PIECES = [
+    "0", "1", "7", "12", "007", "999999999999999999", "1000000000000000000",
+    "18446744073709551616", " ", "  ", "\t", "\n", "\n", "\n", "\r\n", "\r",
+    "#", "# note", "x", "-1", "+3", "1_0", "\u0663", "\x0c", "\u2028", "\u00e9",
+]
 
 
 class TestDirectedGraph:
@@ -36,6 +45,25 @@ class TestDirectedGraph:
         outs, ins = star.degrees()
         assert outs == [2, 0, 0]
         assert ins == [0, 1, 1]
+
+    def test_sorted_read_only_csr_layout(self):
+        g = DirectedGraph(3, ((2, 0), (0, 2), (0, 1)))
+        assert g.src.tolist() == [0, 0, 2]
+        assert g.dst.tolist() == [1, 2, 0]
+        assert g.indptr.tolist() == [0, 2, 2, 3]
+        assert g.edges == ((0, 1), (0, 2), (2, 0))
+        assert g.out_adjacency() == [[1, 2], [], [0]]
+        assert DirectedGraph.from_arrays(3, [2, 0, 0], [0, 2, 1]) == g
+        with pytest.raises(ValueError):
+            g.src[0] = 1
+
+    def test_from_arrays_runs_the_same_validation(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            DirectedGraph.from_arrays(2, [0, 1], [1, 1])
+        with pytest.raises(ValueError, match="duplicate"):
+            DirectedGraph.from_arrays(2, [1, 0, 1], [0, 1, 0])
+        with pytest.raises(ValueError, match="out of range"):
+            DirectedGraph.from_arrays(2, [0], [-1])
 
 
 class TestParse:
@@ -68,6 +96,64 @@ class TestParse:
     def test_negative_id_rejected(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("0 -1")
+
+    @pytest.mark.parametrize("bad", [
+        "1_0 2",        # int() reads node 10
+        "+3 4",         # int() reads node 3
+        "\u0663 4",     # ARABIC-INDIC DIGIT THREE: int() reads node 3
+        "0x1 2",
+        "1 2 # trailing comment",
+        "1\x0c2",       # form feed is not a separator
+        "1 2\u20283 4",  # nor is LINE SEPARATOR
+    ])
+    def test_only_ascii_digit_ids_are_accepted(self, bad):
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(f"0 1\n{bad}\n5 6")
+        assert err.value.line == 2
+
+    def test_invalid_utf8_names_the_line(self):
+        with pytest.raises(EdgeListParseError, match="UTF-8") as err:
+            parse_edge_list(b"# caf\xc3\xa9\n0 1\n2 \xff3\n")
+        assert err.value.line == 3
+
+    def test_comments_may_hold_any_utf8(self):
+        parsed = parse_edge_list_report("# caf\u00e9 \u0663 1_0\r\n  # x\n4 5\r\n")
+        assert parsed.original_ids == (4, 5)
+        assert parsed.graph.edges == ((0, 1),)
+
+    def test_ids_beyond_int64_keep_their_order(self):
+        parsed = parse_edge_list_report(
+            "18446744073709551616 9223372036854775807\n"
+            "9223372036854775807 007\n"
+            "999999999999999999 18446744073709551616\n"
+        )
+        assert parsed.original_ids == (
+            7, 999999999999999999, 9223372036854775807, 18446744073709551616,
+        )
+        assert all(type(i) is int for i in parsed.original_ids)
+        assert parsed.graph.edges == ((1, 3), (2, 0), (3, 2))
+
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(TEXT_PIECES), max_size=30))
+    def test_vectorised_and_line_scans_agree(self, pieces):
+        text = "".join(pieces)
+        fast = _scan_ids(text.encode())
+        try:
+            expected = _scan_lines(text)
+        except EdgeListParseError:
+            assert fast is None
+            return
+        if fast is None:
+            # the one well-formed input left to the line scan: a long id
+            id_tokens = [
+                token
+                for line in text.split("\n")
+                if not line.strip(" \t\r").startswith("#")
+                for token in line.split()
+            ]
+            assert max(map(len, id_tokens)) > 18
+        else:
+            assert [a.tolist() for a in fast] == [a.tolist() for a in expected]
 
     def test_duplicates_collapsed_and_counted(self):
         parsed = parse_edge_list_report("0 1\n0 1\n1 0")

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netctl.errors import ContractViolationError
+from netctl.generators import GeneratorSpec, generate
 from netctl.graph import BipartiteGraph, to_bipartite, to_line_digraph
 from netctl.matching import (
     MatchingResult,
@@ -13,8 +14,12 @@ from netctl.matching import (
     verify_maximality,
 )
 
-from .conftest import bipartite_graphs
-from .oracles import max_matching_size_brute
+from .conftest import bipartite_graphs, directed_graphs
+from .oracles import (
+    has_alternate_maximum_matching_reference,
+    max_matching_size_brute,
+    maximum_matching_reference,
+)
 
 
 def result_from_pairs(b: BipartiteGraph, pairs) -> MatchingResult:
@@ -81,6 +86,29 @@ class TestMaximumMatching:
         assert not m.matched_right & m.unmatched_right
 
 
+    @given(bipartite_graphs())
+    def test_same_pairs_as_reference_solver(self, b):
+        assert maximum_matching(b) == maximum_matching_reference(b)
+
+    @given(directed_graphs(max_nodes=12))
+    def test_digraph_is_its_own_split(self, g):
+        assert maximum_matching(g) == maximum_matching_reference(to_bipartite(g))
+
+    def test_edgeless_and_isolated_nodes(self):
+        for b in (BipartiteGraph(5, 0, ()), BipartiteGraph(0, 4, ()),
+                  BipartiteGraph(4, 6, ((3, 5),))):
+            assert maximum_matching(b) == maximum_matching_reference(b)
+
+    @pytest.mark.parametrize("model, n, k, seed", [
+        ("er", 500, 1.0, 1), ("er", 500, 2.5, 2), ("er", 500, 4.0, 3),
+        ("er", 500, 8.0, 4), ("sf", 500, 2.0, 5), ("sf", 500, 4.0, 6),
+        ("er", 2000, 4.0, 7), ("sf", 2000, 2.0, 8),
+    ])
+    def test_same_pairs_as_reference_on_generated_graphs(self, model, n, k, seed):
+        g = generate(GeneratorSpec(model=model, n=n, mean_degree=k, gamma=2.5, seed=seed))
+        assert maximum_matching(g) == maximum_matching_reference(to_bipartite(g))
+
+
 class TestVerifyMaximality:
     def test_star_canonical_matching_is_maximal(self, star):
         # the only competing matching {(0, 2)} also has size 1
@@ -130,3 +158,23 @@ class TestAlternateMatchings:
     def test_single_edge_is_unique(self):
         b = BipartiteGraph(2, 2, ((0, 1),))
         assert has_alternate_maximum_matching(b, maximum_matching(b)) is False
+
+    @given(bipartite_graphs(max_left=7, max_right=7))
+    def test_same_answer_as_resolving_without_each_pair(self, b):
+        m = maximum_matching(b)
+        expected = has_alternate_maximum_matching_reference(b, m)
+        assert has_alternate_maximum_matching(b, m) is expected
+
+    @given(directed_graphs(max_nodes=9))
+    def test_same_answer_on_digraph_splits(self, g):
+        m = maximum_matching(g)
+        expected = has_alternate_maximum_matching_reference(to_bipartite(g), m)
+        assert has_alternate_maximum_matching(g, m) is expected
+
+    def test_alternating_cycle_without_free_nodes(self):
+        # K(2, 2) is perfectly matched, so no node is free; the other
+        # perfect matching lies along the alternating 4-cycle
+        b = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+        m = maximum_matching(b)
+        assert m.size == 2
+        assert has_alternate_maximum_matching(b, m) is True
