@@ -75,10 +75,6 @@ def _dump_json(obj, out: str | None) -> None:
     _write_text(json.dumps(_round_floats(obj), indent=2) + "\n", out)
 
 
-def _flag(value: bool | None):
-    return "unchecked" if value is None else value
-
-
 def _load(path: str) -> tuple[ParsedEdgeList, str]:
     data = Path(path).read_bytes()
     return parse_edge_list_report(data), hashlib.sha256(data).hexdigest()
@@ -123,7 +119,7 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
             "n_d": node.n_d,
             "driver_count": len(node.driver_nodes),
             "matching_size": node.matching_size,
-            "alternate_matchings": _flag(node.alternate_matchings),
+            "alternate_matchings": node.alternate_matchings,
             "driver_nodes": sorted(orig[v] for v in node.driver_nodes),
         },
         "edge_control": {
@@ -134,7 +130,7 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
             "driver_node_count": len(edge.driver_nodes),
             "driver_edge_count": len(edge.driver_edges),
             "line_matching_size": edge.line_matching_size,
-            "alternate_matchings": _flag(edge.alternate_matchings),
+            "alternate_matchings": edge.alternate_matchings,
             "driver_nodes": sorted(orig[v] for v in edge.driver_nodes),
             "driver_edges": sorted([orig[s], orig[t]] for s, t in edge.driver_edges),
         },
@@ -254,71 +250,48 @@ def cmd_sweep(args) -> int:
 
 # ----------------------------------------------------------------- verify
 
-def _parse_node_drivers(text: str, parsed: ParsedEdgeList) -> list[int]:
-    reverse = {orig: dense for dense, orig in enumerate(parsed.original_ids)}
-    dense = []
+def _parse_drivers(text: str, parsed: ParsedEdgeList, mode: str) -> list[int]:
+    """State indices named by ``--drivers``: node ids '0,2' in node mode,
+    edges '0-1,2-3' in edge mode, where an edge's state index is its
+    position in the sorted edge list (the line digraph's node order).
+    Ids follow the edge-list grammar: ASCII digits only."""
+    orig = parsed.original_ids
+    if mode == "node":
+        arity, shape = 1, "a node id"
+        index = {(v,): i for i, v in enumerate(orig)}
+    else:
+        arity, shape = 2, "an edge 'src-dst'"
+        index = {(orig[s], orig[t]): i for i, (s, t) in enumerate(parsed.graph.edges)}
+    drivers = []
     for token in text.split(","):
         token = token.strip()
-        try:
-            orig = int(token)
-        except ValueError:
-            raise NetctlError(f"driver {token!r} is not a node id")
-        if orig not in reverse:
-            raise NetctlError(f"driver node {orig} does not appear in the input")
-        dense.append(reverse[orig])
-    return dense
-
-
-def _parse_edge_drivers(text: str, parsed: ParsedEdgeList, edge_index) -> list[int]:
-    reverse = {orig: dense for dense, orig in enumerate(parsed.original_ids)}
-    ids = []
-    for token in text.split(","):
-        token = token.strip()
-        parts = token.split("-")
-        if len(parts) != 2:
-            raise NetctlError(f"driver edge {token!r} must look like 'src-dst'")
-        try:
-            s, t = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise NetctlError(f"driver edge {token!r} has non-integer endpoints")
-        if s not in reverse or t not in reverse:
-            raise NetctlError(f"driver edge {token!r} uses unknown node ids")
-        dense_edge = (reverse[s], reverse[t])
-        if dense_edge not in edge_index:
-            raise NetctlError(f"driver edge {token!r} is not an edge of the input")
-        ids.append(edge_index[dense_edge])
-    return ids
+        ids = token.split("-")
+        if len(ids) != arity or not all(part.isascii() and part.isdigit() for part in ids):
+            raise NetctlError(f"driver {token!r} is not {shape} of ASCII digits")
+        key = tuple(map(int, ids))
+        if key not in index:
+            raise NetctlError(f"driver {token!r} does not appear in the input")
+        drivers.append(index[key])
+    return drivers
 
 
 def cmd_verify(args) -> int:
     parsed, _ = _load(args.path)
     g = parsed.graph
     orig = parsed.original_ids
-
+    drivers = _parse_drivers(args.drivers, parsed, args.mode)
     if args.mode == "node":
         system_graph = g
-        drivers = _parse_node_drivers(args.drivers, parsed)
-        driver_labels = sorted(orig[v] for v in set(drivers))
+        labels = orig
         controlled = "nodes"
-
-        def relabel(dense_set):
-            return sorted(orig[v] for v in dense_set)
     else:
         ld = to_line_digraph(g)
-        edge_index = {edge: i for i, edge in enumerate(ld.edge_of_node)}
         system_graph = ld.graph
-        drivers = _parse_edge_drivers(args.drivers, parsed, edge_index)
-        driver_labels = sorted(
-            f"{orig[ld.edge_of_node[i][0]]}-{orig[ld.edge_of_node[i][1]]}"
-            for i in set(drivers)
-        )
+        labels = [f"{orig[s]}-{orig[t]}" for s, t in ld.edge_of_node]
         controlled = "edges"
 
-        def relabel(dense_set):
-            return sorted(
-                f"{orig[ld.edge_of_node[i][0]]}-{orig[ld.edge_of_node[i][1]]}"
-                for i in dense_set
-            )
+    def relabel(dense_set):
+        return sorted(labels[i] for i in dense_set)
 
     dim = system_graph.node_count
     if dim > RANK_TEST_MAX_STATES:
@@ -334,7 +307,7 @@ def cmd_verify(args) -> int:
         "mode": args.mode,
         "controlled": controlled,
         "state_dimension": dim,
-        "drivers": driver_labels,
+        "drivers": relabel(set(drivers)),
         "full_rank": verdict.full_rank,
         "rank": verdict.rank,
         "samples_used": verdict.samples_used,
@@ -394,7 +367,7 @@ def cmd_steer(args) -> int:
         raise SizeLimitError(
             f"steering limited to {RANK_TEST_MAX_STATES} states, got {g.node_count}"
         )
-    drivers = _parse_node_drivers(args.drivers, parsed)
+    drivers = _parse_drivers(args.drivers, parsed, "node")
     x0 = _parse_vector(args.x0, g.node_count, "--x0")
     xf = _parse_vector(args.xf, g.node_count, "--xf")
     system = system_from_graph(g, drivers, rng=np.random.default_rng(args.seed))

@@ -41,7 +41,7 @@ class EdgeControlAnalysis:
     driver_nodes: frozenset[int]
     n_d: float
     line_matching_size: int
-    alternate_matchings: bool | None
+    alternate_matchings: bool
     method: str = field(default="edge-switchboard")
 
 

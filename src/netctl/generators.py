@@ -18,6 +18,7 @@ mixing to seed + (index+1) * 0x9E3779B97F4A7C15 mod 2^64.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -87,10 +88,12 @@ class GeneratorSpec:
             raise InfeasibleSpecError(f"unknown model {self.model!r}")
         if self.n < 1:
             raise InfeasibleSpecError("n must be positive")
-        if self.mean_degree < 0.0:
-            raise InfeasibleSpecError("mean_degree must be non-negative")
-        if self.model == "sf" and self.gamma <= 2.0:
-            raise InfeasibleSpecError("gamma must exceed 2")
+        if not 0.0 <= self.mean_degree < math.inf:
+            raise InfeasibleSpecError(
+                f"mean_degree must be non-negative and finite, got {self.mean_degree}"
+            )
+        if self.model == "sf" and not 2.0 < self.gamma < math.inf:
+            raise InfeasibleSpecError(f"gamma must be finite and exceed 2, got {self.gamma}")
         if self.edge_count > self.n * (self.n - 1):
             raise InfeasibleSpecError(
                 f"mean_degree {self.mean_degree} needs {self.edge_count} edges, "

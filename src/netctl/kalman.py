@@ -189,8 +189,8 @@ def matrix_rank(q: np.ndarray, tol: float | None = None) -> int:
     """Numerical rank: singular values above tol * s_max * max(dims)."""
     if tol is None:
         tol = float(np.finfo(float).eps)
-    if tol <= 0.0:
-        raise ContractViolationError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ContractViolationError(f"tolerance must be positive and finite, got {tol}")
     if q.size == 0:
         return 0
     sv = np.linalg.svd(q, compute_uv=False)
@@ -264,8 +264,8 @@ def controllability_gramian(
 ) -> np.ndarray:
     """Finite-horizon Gramian int_0^tf e^(At) B B' e^(A't) dt by composite
     Simpson quadrature with the given (even) panel count."""
-    if tf <= 0.0:
-        raise ContractViolationError("horizon tf must be positive")
+    if not 0.0 < tf < np.inf:
+        raise ContractViolationError(f"horizon tf must be positive and finite, got {tf}")
     if panels < 2 or panels % 2:
         raise ContractViolationError("panels must be a positive even count")
     h = tf / panels
@@ -322,8 +322,10 @@ def simulate(
     No controllability requirement: this drives the open-loop system with
     whatever input the caller supplies (scalar u is broadcast when M=1).
     """
-    if tf <= 0.0 or steps < 1:
-        raise ContractViolationError("tf and steps must be positive")
+    if not 0.0 < tf < np.inf or steps < 1:
+        raise ContractViolationError(
+            f"tf must be positive and finite and steps positive, got {tf} and {steps}"
+        )
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (s.n,):
         raise ContractViolationError("x0 must have one entry per state")
@@ -361,8 +363,10 @@ def steer(
     xf = np.asarray(xf, dtype=float)
     if x0.shape != (s.n,) or xf.shape != (s.n,):
         raise ContractViolationError("x0 and xf must have one entry per state")
-    if tf <= 0.0 or steps < 1:
-        raise ContractViolationError("tf and steps must be positive")
+    if not 0.0 < tf < np.inf or steps < 1:
+        raise ContractViolationError(
+            f"tf must be positive and finite and steps positive, got {tf} and {steps}"
+        )
 
     verdict = structural_rank_test(
         _pattern_graph(s), s.driver_nodes(), samples=rank_samples,

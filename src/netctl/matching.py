@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -207,13 +208,14 @@ def _validate_matching(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> 
         raise ContractViolationError("unmatched_right inconsistent with pairs")
 
 
-def _mates(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> tuple[list[int], list[int]]:
+def _mates(b: BipartiteGraph | DirectedGraph,
+           m: MatchingResult) -> tuple[np.ndarray, np.ndarray]:
     left_count, right_count, _, _ = _csr(b)
-    match_left = [_UNSET] * left_count
-    match_right = [_UNSET] * right_count
-    for left, right in m.pairs:
-        match_left[left] = right
-        match_right[right] = left
+    ends = np.fromiter(chain.from_iterable(m.pairs), dtype=np.int64, count=2 * len(m.pairs))
+    match_left = np.full(left_count, _UNSET, dtype=np.int64)
+    match_right = np.full(right_count, _UNSET, dtype=np.int64)
+    match_left[ends[0::2]] = ends[1::2]
+    match_right[ends[1::2]] = ends[0::2]
     return match_left, match_right
 
 
@@ -225,7 +227,7 @@ def verify_maximality(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> b
     """
     _validate_matching(b, m)
     adj = _adjacency(b)
-    match_left, match_right = _mates(b, m)
+    match_left, match_right = (mates.tolist() for mates in _mates(b, m))
 
     visited = [False] * len(adj)
     queue: deque[int] = deque()
@@ -255,30 +257,29 @@ def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,
     ``m`` is maximum, and swapping that edge in for the other end's pair
     keeps the size; or (b) ``m`` has an alternating cycle, i.e. the
     digraph on left nodes with an arc u -> mate(v) for every non-matching
-    edge (u, v) has a directed cycle.
+    edge (u, v) has a directed cycle. Test (a) is one vectorised
+    expression over the edge arrays; the cycle search runs only when it
+    fails.
     """
-    adj = _adjacency(b)
+    left_count, _, indptr, right = _csr(b)
     match_left, match_right = _mates(b, m)
-    successors: list[list[int]] = [[] for _ in adj]
-    for u, targets in enumerate(adj):
-        for v in targets:
-            w = match_right[v]
-            if match_left[u] == _UNSET or w == _UNSET:
-                return True
-            if w != u:
-                successors[u].append(w)
+    lefts = np.repeat(np.arange(left_count), np.diff(indptr))
+    heads = match_right[right]
+    if ((match_left[lefts] == _UNSET) | (heads == _UNSET)).any():
+        return True
+    arc = heads != lefts
+    tails, heads = lefts[arc], heads[arc]
+    bounds = np.searchsorted(tails, np.arange(left_count + 1)).tolist()
+    heads_list = heads.tolist()
     # Kahn's algorithm: a cycle is what remains after peeling sources.
-    in_degree = [0] * len(adj)
-    for arcs in successors:
-        for w in arcs:
-            in_degree[w] += 1
+    in_degree = np.bincount(heads, minlength=left_count).tolist()
     ready = [u for u, d in enumerate(in_degree) if d == 0]
     peeled = 0
     while ready:
         u = ready.pop()
         peeled += 1
-        for w in successors[u]:
+        for w in heads_list[bounds[u]:bounds[u + 1]]:
             in_degree[w] -= 1
             if in_degree[w] == 0:
                 ready.append(w)
-    return peeled < len(adj)
+    return peeled < left_count

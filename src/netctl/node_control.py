@@ -4,10 +4,15 @@ Driver nodes are the unmatched in-copies of a maximum matching on the
 plus/minus bipartite split, read straight from the digraph's arrays
 (left node i is the out-copy, right node i the in-copy of node i). A
 perfectly matched graph still needs one input, so the driver count has
-a floor of one; the canonical choice is node 0. Note that this floor (and the unmatched-node rule itself) is the
-standard matching-based count: it assumes the driver set can reach the
-whole graph, which fails for graphs with perfectly matched components
-that no driver can reach (see the oracle module for the numerical test).
+a floor of one; the canonical choice is node 0. Note that this floor
+(and the unmatched-node rule itself) is the standard matching-based
+count: it assumes the driver set can reach the whole graph, which fails
+for graphs with perfectly matched components that no driver can reach
+(see the oracle module for the numerical test).
+
+Maximum matchings are rarely unique, so the analysis also says whether
+another one exists: an exact boolean at every size, from one linear
+pass over the canonical matching.
 """
 
 from __future__ import annotations
@@ -21,25 +26,21 @@ from .matching import has_alternate_maximum_matching, maximum_matching
 # Unused here; kept as a module attribute because bench/tracer.py wraps it by name.
 from .graph import to_bipartite  # noqa: F401
 
-#: Above this node count the alternate-matching search is skipped and the
-#: flag reported as None ("unchecked").
-ALTERNATE_CHECK_LIMIT = 100
-
 
 @dataclass(frozen=True)
 class NodeControlAnalysis:
     """Driver set for node dynamics plus the fraction n_d = |drivers|/N.
 
-    ``alternate_matchings`` is True/False when the graph is small enough
-    to search for a second maximum matching, None when unchecked. The
-    reported driver set is the one induced by the canonical matching;
-    when alternates exist it is *a* valid minimum set, not the only one.
+    ``alternate_matchings`` says, exactly and at every size, whether a
+    second maximum matching exists. The reported driver set is the one
+    induced by the canonical matching; when alternates exist it is *a*
+    valid minimum set, not the only one.
     """
 
     driver_nodes: frozenset[int]
     n_d: float
     matching_size: int
-    alternate_matchings: bool | None
+    alternate_matchings: bool
     method: str = field(default="node-structural")
 
 
@@ -56,12 +57,9 @@ def analyze_node_control(g: DirectedGraph) -> NodeControlAnalysis:
         raise EmptyGraphError("node control is undefined on an empty graph")
     m = maximum_matching(g)
     drivers = set(m.unmatched_right) or {0}
-    alternates: bool | None = None
-    if g.node_count <= ALTERNATE_CHECK_LIMIT:
-        alternates = has_alternate_maximum_matching(g, m)
     return NodeControlAnalysis(
         driver_nodes=frozenset(drivers),
         n_d=len(drivers) / g.node_count,
         matching_size=m.size,
-        alternate_matchings=alternates,
+        alternate_matchings=has_alternate_maximum_matching(g, m),
     )

@@ -13,9 +13,10 @@ import pytest
 
 import netctl
 from netctl.cli import main
-from netctl.graph import parse_edge_list
+from netctl.graph import parse_edge_list, to_bipartite
+from netctl.matching import maximum_matching
 
-from .oracles import edge_control_via_line_digraph
+from .oracles import edge_control_via_line_digraph, has_alternate_maximum_matching_reference
 
 STAR = "0 1\n0 2\n"
 RECIPROCAL_CHAIN = "0 1\n1 2\n2 1\n2 3\n"
@@ -148,17 +149,20 @@ def sha256_of(path) -> str:
 class TestGoldenBytes:
     """Digests of generated edge lists and of their ``analyze`` reports,
     taken from the tuple-based implementation this array-backed one
-    replaced. A report states the input path, so each runs on a relative
-    name inside its own directory."""
+    replaced. The two generated reports were re-taken when the node
+    alternate-matching flag became exact above 100 nodes; each differs
+    from the old one in that line only ("unchecked" -> true). A report
+    states the input path, so each runs on a relative name inside its
+    own directory."""
 
     @pytest.mark.parametrize("name, generate_args, input_sha, report_sha", [
         ("er.txt", ["--model", "er", "--n", "1000", "--k", "3", "--seed", "11"],
          "6cf0c1ba8ecc1e2be53cc37dd1c1844b32651056de4f3be1babd1bfc7aa6bb3c",
-         "72a10026161c1d6f66b5446b79c9b81af0214acf43248e193d3c98865e772011"),
+         "589aaa77943853c044d711099e5cb3a579823f3129c20ff34eb55da53678f79f"),
         ("sf.txt", ["--model", "sf", "--n", "2000", "--k", "2", "--gamma", "2.5",
                     "--seed", "5"],
          "dc4039b26c4d96bf5150f87d62f8556c3c73714f29fe49990bef9565442ddb93",
-         "68e5139e0d9003555dc5dc520a51f40da166ebc11b0e4ef6bac408df507cdc9c"),
+         "49332728e14a682078a41ce546626d5352e242e8ef89511b345e0e553c0e0fe7"),
         ("hand.txt", None,
          "de7f04b4e893aa335c169fb6062d1c010c968015deb67052e5fccaaf93f690ab",
          "79faa5a8d55e0b0e6f90ab48df8737efd4d681314160dfe98b1cc1d5304d6b84"),
@@ -229,6 +233,20 @@ class TestGenerate:
         assert isinstance(flag, bool)
         g = parse_edge_list(out.read_text())
         assert flag == edge_control_via_line_digraph(g).alternate_matchings
+
+    def test_node_alternate_flag_is_a_bool_above_100_nodes(self, capsys, tmp_path):
+        out = tmp_path / "g.txt"
+        main(["generate", "--model", "er", "--n", "150", "--k", "1",
+              "--seed", "1", "--out", str(out)])
+        code, report = run_json(capsys, ["analyze", str(out)])
+        assert code == 0
+        assert report["input"]["node_count"] > 100
+        flag = report["node_control"]["alternate_matchings"]
+        assert isinstance(flag, bool)
+        g = parse_edge_list(out.read_text())
+        assert flag is has_alternate_maximum_matching_reference(
+            to_bipartite(g), maximum_matching(g)
+        )
 
     def test_infeasible_spec_exits_2(self, capsys):
         assert main(["generate", "--model", "er", "--n", "5", "--k", "5"]) == 2
@@ -347,6 +365,17 @@ class TestVerify:
             "verify", chain_file, "--mode", "edge", "--drivers", "3-2",
         ]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--drivers", "\u0660,+2"],
+        ["verify", "--mode", "edge", "--drivers", "+0-1"],
+        ["verify", "--drivers", "1_0"],
+        ["steer", "--drivers", "+0", "--xf", "1,2,3"],
+    ])
+    def test_non_ascii_digit_driver_ids_exit_2(self, capsys, star_file, argv):
+        assert main([argv[0], star_file, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_oversize_graph_exits_2_with_guidance(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
         main(["generate", "--model", "er", "--n", "30", "--k", "2",
@@ -402,6 +431,32 @@ class TestSteer:
         assert main(args) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["verify", "STAR", "--drivers", "0,2", f"--tol={v}"] for v in NON_FINITE),
+    *(["steer", "STAR", "--drivers", "0,2", "--xf", "1,2,3", f"--tf={v}"]
+      for v in NON_FINITE),
+    *(["generate", "--model", model, "--n", "10", f"--k={v}"]
+      for model in ("er", "sf") for v in NON_FINITE),
+    *(["generate", "--model", "sf", "--n", "10", "--k", "1", f"--gamma={v}"]
+      for v in NON_FINITE),
+    *(["sweep", "--model", "er", "--n", "10", *bounds, "--k-steps", "2",
+       "--replicates", "1", "--out", "OUT"]
+      for v in NON_FINITE for bounds in ([f"--k-min={v}", "--k-max=2"], [f"--k-max={v}"])),
+])
+def test_non_finite_numeric_flags_exit_2(capsys, star_file, tmp_path, monkeypatch, argv):
+    # a bare "-inf" reads as an option to argparse, hence "--flag=value"
+    monkeypatch.setenv("NETCTL_THREADS", "1")
+    stand_in = {"STAR": star_file, "OUT": str(tmp_path / "s.csv")}
+    argv = [stand_in.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_cli_import_does_not_load_scipy():

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from netctl.errors import EmptyGraphError
+from netctl.generators import GeneratorSpec, generate
 from netctl.graph import DirectedGraph, to_bipartite
 from netctl.kalman import structural_rank_test
+from netctl.matching import maximum_matching
 from netctl.node_control import analyze_node_control
 
 from .conftest import directed_graphs
-from .oracles import max_matching_size_brute
+from .oracles import has_alternate_maximum_matching_reference, max_matching_size_brute
 
 
 def test_star_needs_hub_and_one_leaf(star):
@@ -102,3 +106,46 @@ def test_driver_nodes_are_unmatched_right_nodes(g):
         assert a.driver_nodes == unmatched
     else:
         assert a.driver_nodes == {0}
+
+
+def reference_flag(g: DirectedGraph) -> bool:
+    return has_alternate_maximum_matching_reference(to_bipartite(g), maximum_matching(g))
+
+
+@pytest.mark.parametrize("model, n, k, gamma, seed", [
+    ("er", 150, 0.5, 3.0, 1), ("er", 200, 1.0, 3.0, 2), ("er", 300, 3.0, 3.0, 3),
+    ("sf", 150, 1.0, 2.5, 4), ("sf", 250, 0.6, 3.0, 5), ("sf", 300, 2.0, 2.2, 6),
+])
+def test_alternate_flag_is_exact_above_100_nodes(model, n, k, gamma, seed):
+    g = generate(GeneratorSpec(model=model, n=n, mean_degree=k, gamma=gamma, seed=seed))
+    outs, ins = g.degree_arrays()
+    assert ((outs == 0) & (ins == 0)).any()  # isolated nodes included
+    assert analyze_node_control(g).alternate_matchings is reference_flag(g)
+
+
+def test_alternate_flag_is_exact_on_matched_cores_above_100_nodes():
+    # every node with an edge lies on one Hamiltonian cycle of 80 % of the
+    # nodes, so no unmatched node has an edge and only the alternating
+    # cycle search decides; random chords make it go either way
+    flags = []
+    for seed, chord_share in enumerate((0.0, 0.02, 0.1, 0.33, 0.5, 1.0)):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(150, 301))
+        core = rng.permutation(n)[: 4 * n // 5].tolist()
+        edges = set(zip(core, core[1:] + core[:1]))
+        for _ in range(int(chord_share * n)):
+            a, b = rng.choice(core, 2, replace=False).tolist()
+            edges.add((a, b))
+        g = DirectedGraph(n, edges)
+        flag = analyze_node_control(g).alternate_matchings
+        assert flag is reference_flag(g)
+        flags.append(flag)
+    assert set(flags) == {True, False}
+
+
+def test_perfect_matching_flag_at_size():
+    n = 1000
+    forward = [(i, (i + 1) % n) for i in range(n)]
+    assert analyze_node_control(DirectedGraph(n, forward)).alternate_matchings is False
+    both = forward + [((i + 1) % n, i) for i in range(n)]
+    assert analyze_node_control(DirectedGraph(n, both)).alternate_matchings is True
