@@ -4,14 +4,9 @@ Two matching-based solvers (node dynamics and edge dynamics) plus a
 numerical Kalman-rank oracle, seeded graph generators, and a CLI.
 """
 
-from importlib.metadata import PackageNotFoundError, version
+__version__ = "0.1.0"
 
-try:
-    __version__ = version("netctl")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
-
-from .edge_control import EdgeControlAnalysis, analyze_edge_control, driver_edge_report
+from .edge_control import EdgeControlAnalysis, analyze_edge_control
 from .errors import (
     ContractViolationError,
     EdgeListParseError,
@@ -97,7 +92,6 @@ __all__ = [
     "controllability_gramian",
     "controllability_matrix",
     "derive_seed",
-    "driver_edge_report",
     "generate",
     "generate_er",
     "generate_sf",

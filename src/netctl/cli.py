@@ -38,7 +38,13 @@ from .graph import (
     serialize_edge_list,
     to_line_digraph,
 )
-from .kalman import brute_force_min_drivers, steer, structural_rank_test, system_from_graph
+from .kalman import (
+    BRUTE_FORCE_MAX_STATES,
+    brute_force_min_drivers,
+    steer,
+    structural_rank_test,
+    system_from_graph,
+)
 from .node_control import analyze_node_control
 
 EXIT_OK = 0
@@ -48,7 +54,6 @@ EXIT_VERIFY = 3
 #: Dense-rank operations (verify/steer) refuse above this state size to
 #: keep the controllability matrix numerically meaningful.
 RANK_TEST_MAX_STATES = 25
-BRUTE_FORCE_MAX_STATES = 10
 
 
 def _round_floats(obj):
@@ -280,6 +285,13 @@ def cmd_verify(args) -> int:
     g = parsed.graph
     orig = parsed.original_ids
     drivers = _parse_drivers(args.drivers, parsed, args.mode)
+    # edge mode has one state per edge: refuse before building edge space
+    dim = g.node_count if args.mode == "node" else g.edge_count
+    if dim > RANK_TEST_MAX_STATES:
+        raise SizeLimitError(
+            f"rank test limited to {RANK_TEST_MAX_STATES} states, got {dim}; "
+            "use the matching-based analyze command for large networks"
+        )
     if args.mode == "node":
         system_graph = g
         labels = orig
@@ -292,13 +304,6 @@ def cmd_verify(args) -> int:
 
     def relabel(dense_set):
         return sorted(labels[i] for i in dense_set)
-
-    dim = system_graph.node_count
-    if dim > RANK_TEST_MAX_STATES:
-        raise SizeLimitError(
-            f"rank test limited to {RANK_TEST_MAX_STATES} states, got {dim}; "
-            "use the matching-based analyze command for large networks"
-        )
 
     verdict = structural_rank_test(
         system_graph, drivers, samples=args.samples, tol=args.tol, seed=args.seed
@@ -319,8 +324,7 @@ def cmd_verify(args) -> int:
                 f"--minimal limited to {BRUTE_FORCE_MAX_STATES} states, got {dim}"
             )
         size, witness = brute_force_min_drivers(
-            system_graph, max_n=BRUTE_FORCE_MAX_STATES,
-            samples=args.samples, tol=args.tol, seed=args.seed,
+            system_graph, samples=args.samples, tol=args.tol, seed=args.seed
         )
         report["minimal"] = {"size": size, "witness": relabel(witness)}
     _dump_json(report, args.out)
@@ -432,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--minimal", action="store_true",
-                   help="also brute-force the minimal driver count (<= 10 states)")
+                   help="also brute-force the minimal driver count "
+                        f"(<= {BRUTE_FORCE_MAX_STATES} states)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
 from .graph import DirectedGraph, Edge
 
 # Unused here; kept as module attributes because bench/tracer.py wraps them by name.
@@ -92,38 +91,3 @@ def analyze_edge_control(g: DirectedGraph) -> EdgeControlAnalysis:
         alternate_matchings=alternates,
     )
 
-
-def driver_edge_report(a: EdgeControlAnalysis, g: DirectedGraph) -> dict:
-    """Report record pairing (n_d, m_d) with explicit method labels.
-
-    Every fraction is emitted next to a "controlled" tag so edge-control
-    numbers are never mistaken for node-control ones. Raises
-    ContractViolationError when ``a`` was not produced from ``g``.
-    """
-    edge_set = set(g.edges)
-    if not set(a.driver_edges) <= edge_set:
-        raise ContractViolationError("driver edges are not edges of the graph")
-    e = g.edge_count
-    if e == 0:
-        if a.driver_edges or a.driver_nodes or a.m_d or a.n_d:
-            raise ContractViolationError("nonempty analysis for an edgeless graph")
-    else:
-        if len(a.driver_edges) != max(e - a.line_matching_size, 1):
-            raise ContractViolationError("driver-edge count inconsistent with matching")
-        if a.m_d != len(a.driver_edges) / e:
-            raise ContractViolationError("m_d inconsistent with driver edges")
-        if a.driver_nodes != frozenset(src for src, _ in a.driver_edges):
-            raise ContractViolationError("driver nodes are not the driver-edge sources")
-        if a.n_d != len(a.driver_nodes) / g.node_count:
-            raise ContractViolationError("n_d inconsistent with driver nodes")
-    return {
-        "method": a.method,
-        "controlled": "edges",
-        "n_d": a.n_d,
-        "m_d": a.m_d,
-        "driver_nodes": sorted(a.driver_nodes),
-        "driver_edges": sorted(a.driver_edges),
-        "driver_edge_count": len(a.driver_edges),
-        "line_matching_size": a.line_matching_size,
-        "alternate_matchings": a.alternate_matchings,
-    }

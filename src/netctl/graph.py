@@ -248,7 +248,7 @@ class ParsedEdgeList:
 _INT64_SAFE_DIGITS = 18
 
 
-def parse_edge_list_report(text: str | bytes | Iterable[str]) -> ParsedEdgeList:
+def parse_edge_list_report(text: str | bytes) -> ParsedEdgeList:
     """Parse edge-list text into a digraph, keeping the remapping table.
 
     Grammar: the input is UTF-8; lines end with "\\n" (an "\\r" before
@@ -265,12 +265,7 @@ def parse_edge_list_report(text: str | bytes | Iterable[str]) -> ParsedEdgeList:
     digits; the line-by-line scan runs otherwise, to name the first bad
     line or to read longer ids as Python integers.
     """
-    if isinstance(text, bytes):
-        data = text
-    else:
-        if not isinstance(text, str):
-            text = "\n".join(line.rstrip("\n") for line in text)
-        data = text.encode("utf-8", "surrogatepass")
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -399,7 +394,7 @@ def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
     return np.concatenate(([True], ordered[1:] != ordered[:-1]))[:ordered.size]
 
 
-def parse_edge_list(text: str | bytes | Iterable[str]) -> DirectedGraph:
+def parse_edge_list(text: str | bytes) -> DirectedGraph:
     """Parse edge-list text into a digraph (see parse_edge_list_report)."""
     return parse_edge_list_report(text).graph
 

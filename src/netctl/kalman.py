@@ -35,8 +35,11 @@ WEIGHT_HIGH = 1.5
 #: Gramians with condition number above this refuse to steer.
 MAX_GRAMIAN_CONDITION = 1e12
 
-#: Default panel count for the composite-Simpson Gramian quadrature.
+#: Panel count (even) of the composite-Simpson Gramian quadrature.
 GRAMIAN_PANELS = 200
+
+#: Exhaustive minimal-driver search refuses above this state size.
+BRUTE_FORCE_MAX_STATES = 10
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -125,15 +128,11 @@ def system_from_graph(
     drivers: Iterable[int],
     weights: Sequence[float] | np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    damping: Sequence[float] | np.ndarray | None = None,
 ) -> LtiSystem:
     """Build the dense system for ``g`` with dedicated inputs.
 
     ``weights`` aligns with the lexicographically sorted edge list; when
-    omitted they are drawn from [0.5, 1.5] using ``rng``. ``damping``, if
-    given, is subtracted from the diagonal (off by default; edge-space
-    dynamics admit a diagonal damping term that does not change any
-    structural conclusion).
+    omitted they are drawn from [0.5, 1.5] using ``rng``.
     """
     driver_list = sorted(set(int(d) for d in drivers))
     if not driver_list:
@@ -153,11 +152,6 @@ def system_from_graph(
 
     a = np.zeros((g.node_count, g.node_count))
     a[g.dst, g.src] = weights  # edges are in lexicographic order
-    if damping is not None:
-        damping = np.asarray(damping, dtype=float)
-        if damping.shape != (g.node_count,):
-            raise ContractViolationError("damping must have one entry per node")
-        a[np.diag_indices_from(a)] -= damping
 
     b = np.zeros((g.node_count, len(driver_list)))
     for j, node in enumerate(driver_list):
@@ -205,7 +199,6 @@ def structural_rank_test(
     samples: int = 3,
     tol: float | None = None,
     seed: int = 0,
-    damping: Sequence[float] | np.ndarray | None = None,
 ) -> RankVerdict:
     """Sampled Kalman rank test for a driver set on ``g``.
 
@@ -225,7 +218,7 @@ def structural_rank_test(
     n = g.node_count
     best = 0
     for i in range(samples):
-        s = system_from_graph(g, drivers, rng=rng, damping=damping)
+        s = system_from_graph(g, drivers, rng=rng)
         rank = matrix_rank(controllability_matrix(s), tol)
         best = max(best, rank)
         if best == n:
@@ -235,7 +228,6 @@ def structural_rank_test(
 
 def brute_force_min_drivers(
     g: DirectedGraph,
-    max_n: int = 10,
     samples: int = 3,
     tol: float | None = None,
     seed: int = 0,
@@ -244,11 +236,13 @@ def brute_force_min_drivers(
 
     Iterates subset sizes 1..N in lexicographic order; guaranteed to
     terminate because driving every node yields B = I. Exhaustive, so
-    limited to N <= max_n.
+    limited to N <= BRUTE_FORCE_MAX_STATES.
     """
     n = g.node_count
-    if n > max_n:
-        raise SizeLimitError(f"brute force limited to N <= {max_n}, got {n}")
+    if n > BRUTE_FORCE_MAX_STATES:
+        raise SizeLimitError(
+            f"brute force limited to N <= {BRUTE_FORCE_MAX_STATES}, got {n}"
+        )
     if n == 0:
         raise ContractViolationError("no drivers exist for an empty graph")
     for size in range(1, n + 1):
@@ -259,19 +253,15 @@ def brute_force_min_drivers(
     raise AssertionError("unreachable: driving all nodes is always sufficient")
 
 
-def controllability_gramian(
-    s: LtiSystem, tf: float, panels: int = GRAMIAN_PANELS
-) -> np.ndarray:
+def controllability_gramian(s: LtiSystem, tf: float) -> np.ndarray:
     """Finite-horizon Gramian int_0^tf e^(At) B B' e^(A't) dt by composite
-    Simpson quadrature with the given (even) panel count."""
+    Simpson quadrature over GRAMIAN_PANELS panels."""
     if not 0.0 < tf < np.inf:
         raise ContractViolationError(f"horizon tf must be positive and finite, got {tf}")
-    if panels < 2 or panels % 2:
-        raise ContractViolationError("panels must be a positive even count")
-    h = tf / panels
+    h = tf / GRAMIAN_PANELS
     gram = np.zeros((s.n, s.n))
-    for k in range(panels + 1):
-        coeff = 1.0 if k in (0, panels) else (4.0 if k % 2 else 2.0)
+    for k in range(GRAMIAN_PANELS + 1):
+        coeff = 1.0 if k in (0, GRAMIAN_PANELS) else (4.0 if k % 2 else 2.0)
         g_k = expm(s.a * (k * h)) @ s.b
         gram += coeff * (g_k @ g_k.T)
     return gram * (h / 3.0)
@@ -279,7 +269,7 @@ def controllability_gramian(
 
 def _pattern_graph(s: LtiSystem) -> DirectedGraph:
     """Off-diagonal sparsity pattern of ``a`` as a digraph (a[i, j] != 0
-    means edge j -> i); the diagonal is ignored (damping hook)."""
+    means edge j -> i); the diagonal is ignored."""
     edges = [
         (j, i)
         for i in range(s.n)
@@ -344,9 +334,6 @@ def steer(
     xf: Sequence[float] | np.ndarray,
     tf: float,
     steps: int = 400,
-    panels: int = GRAMIAN_PANELS,
-    rank_samples: int = 3,
-    rank_tol: float | None = None,
     seed: int = 0,
 ) -> SteerResult:
     """Steer from x0 to xf over [0, tf] with the minimum-energy input.
@@ -356,8 +343,9 @@ def steer(
     fixed-step RK4 over ``steps`` steps.
 
     Raises UncontrollableError when the driver pattern fails the sampled
-    rank test, and IllConditionedError when cond(W) exceeds 1e12 (advice:
-    increase tf or pick a different driver set).
+    rank test, and IllConditionedError when W overflows (advice: decrease
+    tf) or cond(W) exceeds 1e12 (advice: increase tf or pick a different
+    driver set).
     """
     x0 = np.asarray(x0, dtype=float)
     xf = np.asarray(xf, dtype=float)
@@ -368,17 +356,17 @@ def steer(
             f"tf must be positive and finite and steps positive, got {tf} and {steps}"
         )
 
-    verdict = structural_rank_test(
-        _pattern_graph(s), s.driver_nodes(), samples=rank_samples,
-        tol=rank_tol, seed=seed,
-    )
+    verdict = structural_rank_test(_pattern_graph(s), s.driver_nodes(), seed=seed)
     if not verdict.full_rank:
         raise UncontrollableError(
             f"driver set {sorted(s.driver_nodes())} fails the rank test "
             f"(rank {verdict.rank} of {s.n})"
         )
 
-    gram = controllability_gramian(s, tf, panels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = controllability_gramian(s, tf)
+    if not np.isfinite(gram).all():
+        raise IllConditionedError(f"Gramian overflows at tf={tf:g}; try a smaller tf")
     condition = float(np.linalg.cond(gram))
     if condition > MAX_GRAMIAN_CONDITION:
         raise IllConditionedError(

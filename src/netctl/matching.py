@@ -21,7 +21,6 @@ out-copy and right node i the in-copy of node i).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -49,12 +48,6 @@ def _csr(b: BipartiteGraph | DirectedGraph) -> tuple[int, int, np.ndarray, np.nd
     if isinstance(b, DirectedGraph):
         return b.node_count, b.node_count, b.indptr, b.dst
     return b.left_count, b.right_count, b.indptr, b.right
-
-
-def _adjacency(b: BipartiteGraph | DirectedGraph) -> list[list[int]]:
-    left_count, _, indptr, right = _csr(b)
-    targets, bounds = right.tolist(), indptr.tolist()
-    return [targets[bounds[u]:bounds[u + 1]] for u in range(left_count)]
 
 
 def _bfs_layers(indptr, right, match_left, match_right) -> tuple[np.ndarray, int]:
@@ -220,31 +213,17 @@ def _mates(b: BipartiteGraph | DirectedGraph,
 
 
 def verify_maximality(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> bool:
-    """Certificate check: true iff no augmenting path exists for ``m``.
+    """Certificate check: true iff no augmenting path exists for ``m``,
+    i.e. the Hopcroft-Karp BFS from its free left nodes reaches no free
+    right node.
 
     Raises ContractViolationError when ``m`` is not a valid matching
     on ``b``.
     """
     _validate_matching(b, m)
-    adj = _adjacency(b)
-    match_left, match_right = (mates.tolist() for mates in _mates(b, m))
-
-    visited = [False] * len(adj)
-    queue: deque[int] = deque()
-    for u in range(len(adj)):
-        if match_left[u] == _UNSET:
-            visited[u] = True
-            queue.append(u)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            w = match_right[v]
-            if w == _UNSET:
-                return False
-            if not visited[w]:
-                visited[w] = True
-                queue.append(w)
-    return True
+    _, _, indptr, right = _csr(b)
+    _, free_dist = _bfs_layers(indptr, right, *_mates(b, m))
+    return free_dist == _UNSET
 
 
 def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,

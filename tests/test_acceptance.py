@@ -125,7 +125,7 @@ def test_criterion_4_node_oracle_equivalence_on_200_graphs():
             skipped += 1
             continue
         kept += 1
-        size, _ = brute_force_min_drivers(g, max_n=7)
+        size, _ = brute_force_min_drivers(g)
         assert size == len(analysis.driver_nodes), f"count mismatch on {g}"
         assert structural_rank_test(g, analysis.driver_nodes).full_rank, (
             f"driver set fails rank test on {g}"
@@ -153,7 +153,7 @@ def test_criterion_5_edge_oracle_equivalence_on_100_graphs():
             skipped += 1
             continue
         kept += 1
-        size, _ = brute_force_min_drivers(ld.graph, max_n=7)
+        size, _ = brute_force_min_drivers(ld.graph)
         assert size == len(analysis.driver_edges), f"count mismatch on {g}"
         assert structural_rank_test(ld.graph, driver_ids).full_rank, (
             f"driver edges fail rank test on {g}"

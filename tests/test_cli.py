@@ -383,6 +383,23 @@ class TestVerify:
         assert main(["verify", str(big), "--drivers", "0"]) == 2
         assert "analyze" in capsys.readouterr().err
 
+    def test_edge_mode_refuses_before_building_edge_space(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 6 nodes but 26 edges: edge mode has one state per edge
+        pairs = [(i, j) for i in range(6) for j in range(6) if i != j][:26]
+        path = tmp_path / "dense.txt"
+        path.write_text("".join(f"{i} {j}\n" for i, j in pairs))
+
+        def unexpected(g):
+            raise AssertionError("edge space built for an oversize input")
+
+        monkeypatch.setattr("netctl.cli.to_line_digraph", unexpected)
+        assert main(["verify", str(path), "--mode", "edge", "--drivers", "0-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limited to 25 states, got 26" in err
+
 
 class TestSteer:
     def test_star_trajectory(self, capsys, star_file, tmp_path):
@@ -432,6 +449,20 @@ class TestSteer:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_gramian_exits_3_with_one_line(
+        self, capfd, recwarn, star_file, tmp_path
+    ):
+        # the star's Gramian grows like tf^3 and overflows long before 1e300
+        out = tmp_path / "traj.csv"
+        args = ["steer", star_file, "--drivers", "0,2", "--xf", "1,2,3",
+                "--tf", "1e300", "--out", str(out)]
+        assert main(args) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "smaller tf" in err
+        assert not recwarn.list
+        assert not out.exists()
+
 
 NON_FINITE = ("nan", "inf", "-inf")
 
@@ -462,9 +493,11 @@ def test_non_finite_numeric_flags_exit_2(capsys, star_file, tmp_path, monkeypatc
 def test_cli_import_does_not_load_scipy():
     src = Path(netctl.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, netctl.cli; sys.exit('scipy' in sys.modules)"
+    # importlib.metadata costs ~20 ms per CLI start; the version is a literal
+    probe = ("import sys, netctl.cli; "
+             "sys.exit(any(m in sys.modules for m in ('scipy', 'importlib.metadata')))")
     result = subprocess.run([sys.executable, "-c", probe], env=env)
-    assert result.returncode == 0, "importing netctl.cli loaded scipy"
+    assert result.returncode == 0, "importing netctl.cli loaded scipy or importlib.metadata"
 
 
 def test_analyze_does_not_load_numpy_ma(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netctl.edge_control import analyze_edge_control, driver_edge_report
-from netctl.errors import ContractViolationError
+from netctl.edge_control import analyze_edge_control
 from netctl.graph import DirectedGraph, to_line_digraph
 
 from .conftest import directed_graphs
@@ -133,41 +132,3 @@ def test_alternate_flag_is_exact_above_100_edges():
     g = DirectedGraph(241, chains)
     assert analyze_edge_control(g).alternate_matchings is False
 
-
-class TestDriverEdgeReport:
-    def test_star_report(self, star):
-        report = driver_edge_report(analyze_edge_control(star), star)
-        assert report["method"] == "edge-switchboard"
-        assert report["controlled"] == "edges"
-        assert report["n_d"] == pytest.approx(1 / 3)
-        assert report["m_d"] == 1.0
-        assert report["driver_nodes"] == [0]
-        assert report["driver_edges"] == [(0, 1), (0, 2)]
-
-    def test_reciprocal_chain_report(self, reciprocal_chain):
-        report = driver_edge_report(
-            analyze_edge_control(reciprocal_chain), reciprocal_chain
-        )
-        assert report["n_d"] == 0.5 and report["m_d"] == 0.5
-
-    def test_empty_graph_report(self):
-        g = DirectedGraph(3, ())
-        report = driver_edge_report(analyze_edge_control(g), g)
-        assert report["n_d"] == 0.0 and report["m_d"] == 0.0
-
-    def test_mismatched_graph_rejected(self, star, reciprocal_chain):
-        with pytest.raises(ContractViolationError):
-            driver_edge_report(analyze_edge_control(reciprocal_chain), star)
-
-    def test_tampered_analysis_rejected(self, star):
-        a = analyze_edge_control(star)
-        forged = type(a)(
-            driver_edges=a.driver_edges,
-            m_d=0.123,
-            driver_nodes=a.driver_nodes,
-            n_d=a.n_d,
-            line_matching_size=a.line_matching_size,
-            alternate_matchings=a.alternate_matchings,
-        )
-        with pytest.raises(ContractViolationError):
-            driver_edge_report(forged, star)

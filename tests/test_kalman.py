@@ -68,11 +68,6 @@ class TestLtiSystem:
         with pytest.raises(ContractViolationError):
             system_from_graph(g, {0}, weights=[0.0])
 
-    def test_damping_hook_lands_on_diagonal(self):
-        g = DirectedGraph(2, ((0, 1),))
-        s = system_from_graph(g, {0}, weights=[2.0], damping=[0.5, 0.25])
-        assert s.a[0, 0] == -0.5 and s.a[1, 1] == -0.25
-
 
 class TestControllabilityMatrix:
     def test_star_hub_only_has_rank_two(self):
@@ -142,10 +137,6 @@ class TestStructuralRankTest:
         with pytest.raises(ContractViolationError):
             structural_rank_test(star, {9})
 
-    def test_damping_does_not_change_verdict(self, three_cycle):
-        damped = structural_rank_test(three_cycle, {0}, damping=[0.3, 0.3, 0.3])
-        assert damped.full_rank
-
     def test_single_node_graph(self):
         g = DirectedGraph(1, ())
         assert structural_rank_test(g, {0}).full_rank
@@ -167,7 +158,7 @@ class TestBruteForce:
     def test_size_limit(self):
         g = DirectedGraph(11, ())
         with pytest.raises(SizeLimitError):
-            brute_force_min_drivers(g, max_n=10)
+            brute_force_min_drivers(g)
 
 
 class TestGramian:
@@ -183,10 +174,6 @@ class TestGramian:
         em = expm(m * tf)
         w_ref = em[s.n :, s.n :].T @ em[: s.n, s.n :]
         np.testing.assert_allclose(w, w_ref, atol=1e-10)
-
-    def test_rejects_odd_panels(self):
-        with pytest.raises(ContractViolationError):
-            controllability_gramian(star_system(drivers=(0, 2)), 1.0, panels=3)
 
     def test_singular_for_uncontrollable_pattern(self):
         w = controllability_gramian(star_system(drivers=(0,)), 1.0)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from netctl.errors import ContractViolationError
@@ -144,6 +144,13 @@ class TestVerifyMaximality:
     @given(bipartite_graphs())
     def test_canonical_matching_always_verifies(self, b):
         assert verify_maximality(b, maximum_matching(b)) is True
+
+    @given(bipartite_graphs(), st.data())
+    def test_dropping_any_pair_is_not_maximal(self, b, data):
+        pairs = maximum_matching(b).pairs
+        assume(pairs)
+        dropped = data.draw(st.sampled_from(sorted(pairs)))
+        assert verify_maximality(b, result_from_pairs(b, pairs - {dropped})) is False
 
 
 class TestAlternateMatchings:
