@@ -31,7 +31,6 @@ from .errors import (
 )
 from .generators import GeneratorSpec, derive_seed, generate
 from .graph import (
-    DirectedGraph,
     ParsedEdgeList,
     compute_stats,
     parse_edge_list_report,
@@ -125,7 +124,7 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
             "driver_count": len(node.driver_nodes),
             "matching_size": node.matching_size,
             "alternate_matchings": node.alternate_matchings,
-            "driver_nodes": sorted(orig[v] for v in node.driver_nodes),
+            "driver_nodes": orig[node.driver_nodes].tolist(),
         },
         "edge_control": {
             "method": edge.method,
@@ -136,8 +135,8 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
             "driver_edge_count": len(edge.driver_edges),
             "line_matching_size": edge.line_matching_size,
             "alternate_matchings": edge.alternate_matchings,
-            "driver_nodes": sorted(orig[v] for v in edge.driver_nodes),
-            "driver_edges": sorted([orig[s], orig[t]] for s, t in edge.driver_edges),
+            "driver_nodes": orig[edge.driver_nodes].tolist(),
+            "driver_edges": orig[edge.driver_edges].tolist(),
         },
     }
 
@@ -255,35 +254,41 @@ def cmd_sweep(args) -> int:
 
 # ----------------------------------------------------------------- verify
 
+def _find(ordered: np.ndarray, key: int, lo: int, hi: int) -> int | None:
+    """Index of ``key`` in the ascending ``ordered[lo:hi]``, or None. No int64
+    array holds a key of 2**63 or more (and numpy < 2 compares one inexactly)."""
+    if ordered.dtype != object and key >= 2**63:
+        return None
+    i = lo + int(np.searchsorted(ordered[lo:hi], key))
+    return i if i < hi and ordered[i] == key else None
+
+
 def _parse_drivers(text: str, parsed: ParsedEdgeList, mode: str) -> list[int]:
     """State indices named by ``--drivers``: node ids '0,2' in node mode,
     edges '0-1,2-3' in edge mode, where an edge's state index is its
     position in the sorted edge list (the line digraph's node order).
     Ids follow the edge-list grammar: ASCII digits only."""
-    orig = parsed.original_ids
-    if mode == "node":
-        arity, shape = 1, "a node id"
-        index = {(v,): i for i, v in enumerate(orig)}
-    else:
-        arity, shape = 2, "an edge 'src-dst'"
-        index = {(orig[s], orig[t]): i for i, (s, t) in enumerate(parsed.graph.edges)}
+    orig, g = parsed.original_ids, parsed.graph
+    arity, shape = (1, "a node id") if mode == "node" else (2, "an edge 'src-dst'")
     drivers = []
     for token in text.split(","):
         token = token.strip()
         ids = token.split("-")
         if len(ids) != arity or not all(part.isascii() and part.isdigit() for part in ids):
             raise NetctlError(f"driver {token!r} is not {shape} of ASCII digits")
-        key = tuple(map(int, ids))
-        if key not in index:
+        found = [_find(orig, int(part), 0, orig.size) for part in ids]
+        if mode == "edge" and None not in found:
+            s, t = found
+            found = [_find(g.dst, t, int(g.indptr[s]), int(g.indptr[s + 1]))]
+        if None in found:
             raise NetctlError(f"driver {token!r} does not appear in the input")
-        drivers.append(index[key])
+        drivers.append(found[0])
     return drivers
 
 
 def cmd_verify(args) -> int:
     parsed, _ = _load(args.path)
     g = parsed.graph
-    orig = parsed.original_ids
     drivers = _parse_drivers(args.drivers, parsed, args.mode)
     # edge mode has one state per edge: refuse before building edge space
     dim = g.node_count if args.mode == "node" else g.edge_count
@@ -292,6 +297,7 @@ def cmd_verify(args) -> int:
             f"rank test limited to {RANK_TEST_MAX_STATES} states, got {dim}; "
             "use the matching-based analyze command for large networks"
         )
+    orig = parsed.original_ids.tolist()
     if args.mode == "node":
         system_graph = g
         labels = orig

@@ -23,21 +23,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DirectedGraph, Edge
+from .graph import DirectedGraph
 
 # Unused here; kept as module attributes because bench/tracer.py wraps them by name.
 from .graph import to_bipartite, to_line_digraph  # noqa: F401
 from .matching import has_alternate_maximum_matching, maximum_matching  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeControlAnalysis:
     """Driver edges (fraction m_d of E) and their source nodes (fraction
-    n_d of N) for edge dynamics."""
+    n_d of N) for edge dynamics: a read-only (k, 2) int64 array of
+    ascending (source, target) rows and a sorted read-only int64 array."""
 
-    driver_edges: frozenset[Edge]
+    driver_edges: np.ndarray
     m_d: float
-    driver_nodes: frozenset[int]
+    driver_nodes: np.ndarray
     n_d: float
     line_matching_size: int
     alternate_matchings: bool
@@ -60,33 +61,27 @@ def analyze_edge_control(g: DirectedGraph) -> EdgeControlAnalysis:
       matching iff min(a, b) >= 1 and max(a, b) >= 2.
 
     So |driver_edges| = max(E - line_matching_size, 1) for E >= 1. An
-    edgeless graph needs nothing: all sets empty, m_d = n_d = 0.
+    edgeless graph needs nothing: shapes (0, 2) and (0,), m_d = n_d = 0.
     """
     edge_total = g.edge_count
-    if edge_total == 0:
-        return EdgeControlAnalysis(
-            driver_edges=frozenset(),
-            m_d=0.0,
-            driver_nodes=frozenset(),
-            n_d=0.0,
-            line_matching_size=0,
-            alternate_matchings=False,
-        )
     outs, ins = g.degree_arrays()
     low = np.minimum(ins, outs)
     alternates = bool(((low >= 1) & (np.maximum(ins, outs) >= 2)).any())
     # rank of each edge among its source's out-edges, by ascending target
     rank = np.arange(edge_total) - g.indptr[g.src]
     surplus = rank >= ins[g.src]
-    driver_edges = list(zip(g.src[surplus].tolist(), g.dst[surplus].tolist()))
-    if not driver_edges:
-        driver_edges.append((int(g.src[0]), int(g.dst[0])))
-    driver_nodes = frozenset(src for src, _ in driver_edges)
+    if edge_total and not surplus.any():
+        surplus[0] = True  # the floor case
+    driver_edges = np.column_stack((g.src[surplus], g.dst[surplus]))
+    driver_nodes = np.flatnonzero(np.bincount(driver_edges[:, 0], minlength=g.node_count))
+    driver_edges.flags.writeable = False
+    driver_nodes.flags.writeable = False
+    # each numerator is 0 when its denominator is
     return EdgeControlAnalysis(
-        driver_edges=frozenset(driver_edges),
-        m_d=len(driver_edges) / edge_total,
+        driver_edges=driver_edges,
+        m_d=len(driver_edges) / max(edge_total, 1),
         driver_nodes=driver_nodes,
-        n_d=len(driver_nodes) / g.node_count,
+        n_d=driver_nodes.size / max(g.node_count, 1),
         line_matching_size=int(low.sum()),
         alternate_matchings=alternates,
     )

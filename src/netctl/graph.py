@@ -226,22 +226,21 @@ class GraphStats:
             raise ValueError("isolated_count must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParsedEdgeList:
     """Result of :func:`parse_edge_list_report`.
 
     Keeps the id remapping and pre-cleaning counts so reports can refer
     to the node ids used in the input file and state how many duplicate
-    edges were collapsed.
+    edges were collapsed. ``original_ids[v]`` is the input id of dense
+    node v: an ascending read-only array, int64, or object (Python ints)
+    when some id is 2**63 or above.
     """
 
     graph: DirectedGraph
-    original_ids: tuple[int, ...]
+    original_ids: np.ndarray
     raw_edge_count: int
     duplicate_count: int
-
-    def original_id(self, dense: int) -> int:
-        return self.original_ids[dense]
 
 
 #: Ids of at most this many digits fit in int64 (10**18 - 1 < 2**63).
@@ -381,9 +380,11 @@ def _remap(src_ids: np.ndarray, dst_ids: np.ndarray) -> ParsedEdgeList:
     n = int(np.count_nonzero(first))
     keys = np.sort(dense[:raw] * n + dense[raw:])
     keys = keys[_first_of_runs(keys)]
+    original_ids = ids[first]
+    original_ids.flags.writeable = False
     return ParsedEdgeList(
         graph=DirectedGraph.from_arrays(n, keys // n, keys % n),
-        original_ids=tuple(ids[first].tolist()),
+        original_ids=original_ids,
         raw_edge_count=raw,
         duplicate_count=raw - keys.size,
     )
@@ -449,10 +450,11 @@ def compute_stats(g: DirectedGraph) -> GraphStats:
     density = e / (n * (n - 1)) if n > 1 else 0.0
     reciprocated = 0
     if e:
-        keys = g.src * n + g.dst  # ascending, as the edges are sorted
-        mirrored = g.dst * n + g.src
-        at = np.minimum(np.searchsorted(keys, mirrored), e - 1)
-        reciprocated = int(np.count_nonzero(keys[at] == mirrored))
+        # neither key set repeats a key, so a key shared by an edge and a
+        # reversed edge shows up exactly twice in the merged sort
+        both = np.concatenate((g.src * n + g.dst, g.dst * n + g.src))
+        both.sort()
+        reciprocated = int(np.count_nonzero(both[1:] == both[:-1]))
     reciprocity = reciprocated / e if e else 0.0
     outs, ins = g.degree_arrays()
     isolated = int(np.count_nonzero((outs == 0) & (ins == 0)))

@@ -231,7 +231,7 @@ def brute_force_min_drivers(
     samples: int = 3,
     tol: float | None = None,
     seed: int = 0,
-) -> tuple[int, frozenset[int]]:
+) -> tuple[int, tuple[int, ...]]:
     """Smallest driver-set size passing the rank test, with one witness.
 
     Iterates subset sizes 1..N in lexicographic order; guaranteed to
@@ -249,7 +249,7 @@ def brute_force_min_drivers(
         for subset in combinations(range(n), size):
             verdict = structural_rank_test(g, subset, samples=samples, tol=tol, seed=seed)
             if verdict.full_rank:
-                return size, frozenset(subset)
+                return size, subset
     raise AssertionError("unreachable: driving all nodes is always sufficient")
 
 
@@ -344,8 +344,8 @@ def steer(
 
     Raises UncontrollableError when the driver pattern fails the sampled
     rank test, and IllConditionedError when W overflows (advice: decrease
-    tf) or cond(W) exceeds 1e12 (advice: increase tf or pick a different
-    driver set).
+    tf) or cond(W) exceeds 1e12 (advice: a smaller tf when W's largest
+    eigenvalue exceeds one, else a larger one, or other drivers).
     """
     x0 = np.asarray(x0, dtype=float)
     xf = np.asarray(xf, dtype=float)
@@ -369,9 +369,12 @@ def steer(
         raise IllConditionedError(f"Gramian overflows at tf={tf:g}; try a smaller tf")
     condition = float(np.linalg.cond(gram))
     if condition > MAX_GRAMIAN_CONDITION:
+        # a largest eigenvalue above one means growth, which a shorter horizon
+        # curbs; below one, directions the inputs barely reach yet need longer
+        direction = "smaller" if np.linalg.eigvalsh(gram)[-1] > 1.0 else "larger"
         raise IllConditionedError(
             f"Gramian condition number {condition:.3e} exceeds "
-            f"{MAX_GRAMIAN_CONDITION:.0e}; try a larger tf or different drivers"
+            f"{MAX_GRAMIAN_CONDITION:.0e}; try a {direction} tf or different drivers"
         )
     eta = np.linalg.solve(gram, xf - expm(s.a * tf) @ x0)
 

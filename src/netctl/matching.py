@@ -22,7 +22,6 @@ out-copy and right node i the in-copy of node i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -32,14 +31,14 @@ from .graph import BipartiteGraph, DirectedGraph
 _UNSET = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingResult:
-    """A maximum matching together with the right-side partition it
-    induces (matched vs unmatched in-copies)."""
+    """A matching as read-only int64 mate arrays: ``match_left[u]`` is the
+    right node matched to left node u, ``match_right[v]`` the left node
+    matched to right node v, -1 where unmatched. Equality is identity."""
 
-    pairs: frozenset[tuple[int, int]]
-    matched_right: frozenset[int]
-    unmatched_right: frozenset[int]
+    match_left: np.ndarray
+    match_right: np.ndarray
     size: int
 
 
@@ -170,46 +169,32 @@ def maximum_matching(b: BipartiteGraph | DirectedGraph) -> MatchingResult:
             raise RuntimeError("a Hopcroft-Karp phase found no augmenting path")
         match_left, match_right = np.array(ml, dtype=np.int64), np.array(mr, dtype=np.int64)
 
-    matched = np.flatnonzero(match_left != _UNSET)
-    return MatchingResult(
-        pairs=frozenset(zip(matched.tolist(), match_left[matched].tolist())),
-        matched_right=frozenset(np.flatnonzero(match_right != _UNSET).tolist()),
-        unmatched_right=frozenset(np.flatnonzero(match_right == _UNSET).tolist()),
-        size=matched.size,
-    )
+    match_left.flags.writeable = False
+    match_right.flags.writeable = False
+    return MatchingResult(match_left, match_right, int(np.count_nonzero(match_left != _UNSET)))
 
 
 def _validate_matching(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> None:
-    _, right_count, _, _ = _csr(b)
-    edge_set = set(b.edges)
-    lefts: set[int] = set()
-    rights: set[int] = set()
-    for left, right in m.pairs:
-        if (left, right) not in edge_set:
-            raise ContractViolationError(
-                f"matching pair ({left}, {right}) is not a bipartite edge"
-            )
-        if left in lefts or right in rights:
-            raise ContractViolationError("pairs do not form a matching")
-        lefts.add(left)
-        rights.add(right)
-    if m.size != len(m.pairs):
-        raise ContractViolationError("size does not match |pairs|")
-    if m.matched_right != frozenset(rights):
-        raise ContractViolationError("matched_right inconsistent with pairs")
-    if m.unmatched_right != frozenset(range(right_count)) - rights:
-        raise ContractViolationError("unmatched_right inconsistent with pairs")
-
-
-def _mates(b: BipartiteGraph | DirectedGraph,
-           m: MatchingResult) -> tuple[np.ndarray, np.ndarray]:
-    left_count, right_count, _, _ = _csr(b)
-    ends = np.fromiter(chain.from_iterable(m.pairs), dtype=np.int64, count=2 * len(m.pairs))
-    match_left = np.full(left_count, _UNSET, dtype=np.int64)
-    match_right = np.full(right_count, _UNSET, dtype=np.int64)
-    match_left[ends[0::2]] = ends[1::2]
-    match_right[ends[1::2]] = ends[0::2]
-    return match_left, match_right
+    left_count, right_count, indptr, right = _csr(b)
+    match_left, match_right = m.match_left, m.match_right
+    if match_left.shape != (left_count,) or match_right.shape != (right_count,):
+        raise ContractViolationError("mate arrays do not fit the graph's node counts")
+    # a matched left node must find its mate among the right ends of its edges
+    edge_lefts = np.repeat(np.arange(left_count), np.diff(indptr))
+    on_edge = np.zeros(left_count, dtype=bool)
+    on_edge[edge_lefts[match_left[edge_lefts] == right]] = True
+    stray = (match_left != _UNSET) & ~on_edge
+    if stray.any():
+        u = int(stray.argmax())
+        raise ContractViolationError(
+            f"matching pair ({u}, {match_left[u]}) is not a bipartite edge"
+        )
+    lefts = np.flatnonzero(match_left != _UNSET)
+    if ((match_right[match_left[lefts]] != lefts).any()
+            or np.count_nonzero(match_right != _UNSET) != lefts.size):
+        raise ContractViolationError("mate arrays do not form a matching")
+    if m.size != lefts.size:
+        raise ContractViolationError("size does not match the mate arrays")
 
 
 def verify_maximality(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> bool:
@@ -222,7 +207,7 @@ def verify_maximality(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> b
     """
     _validate_matching(b, m)
     _, _, indptr, right = _csr(b)
-    _, free_dist = _bfs_layers(indptr, right, *_mates(b, m))
+    _, free_dist = _bfs_layers(indptr, right, m.match_left, m.match_right)
     return free_dist == _UNSET
 
 
@@ -241,7 +226,7 @@ def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,
     fails.
     """
     left_count, _, indptr, right = _csr(b)
-    match_left, match_right = _mates(b, m)
+    match_left, match_right = m.match_left, m.match_right
     lefts = np.repeat(np.arange(left_count), np.diff(indptr))
     heads = match_right[right]
     if ((match_left[lefts] == _UNSET) | (heads == _UNSET)).any():

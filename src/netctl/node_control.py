@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyGraphError
 from .graph import DirectedGraph
 from .matching import has_alternate_maximum_matching, maximum_matching
@@ -27,17 +29,18 @@ from .matching import has_alternate_maximum_matching, maximum_matching
 from .graph import to_bipartite  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeControlAnalysis:
     """Driver set for node dynamics plus the fraction n_d = |drivers|/N.
 
+    ``driver_nodes`` is a sorted, read-only int64 array of dense node ids.
     ``alternate_matchings`` says, exactly and at every size, whether a
     second maximum matching exists. The reported driver set is the one
     induced by the canonical matching; when alternates exist it is *a*
     valid minimum set, not the only one.
     """
 
-    driver_nodes: frozenset[int]
+    driver_nodes: np.ndarray
     n_d: float
     matching_size: int
     alternate_matchings: bool
@@ -56,10 +59,13 @@ def analyze_node_control(g: DirectedGraph) -> NodeControlAnalysis:
     if g.node_count == 0:
         raise EmptyGraphError("node control is undefined on an empty graph")
     m = maximum_matching(g)
-    drivers = set(m.unmatched_right) or {0}
+    drivers = np.flatnonzero(m.match_right == -1)
+    if not drivers.size:
+        drivers = np.zeros(1, dtype=np.int64)
+    drivers.flags.writeable = False
     return NodeControlAnalysis(
-        driver_nodes=frozenset(drivers),
-        n_d=len(drivers) / g.node_count,
+        driver_nodes=drivers,
+        n_d=drivers.size / g.node_count,
         matching_size=m.size,
         alternate_matchings=has_alternate_maximum_matching(g, m),
     )

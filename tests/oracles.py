@@ -170,16 +170,9 @@ def maximum_matching_reference(b: BipartiteGraph) -> MatchingResult:
             if match_left[u] == _UNSET:
                 if _augment(u, adj, match_left, match_right, dist, ptr, free_dist):
                     size += 1
-    pairs = frozenset(
-        (u, match_left[u]) for u in range(b.left_count) if match_left[u] != _UNSET
-    )
-    matched_right = frozenset(
-        v for v in range(b.right_count) if match_right[v] != _UNSET
-    )
     return MatchingResult(
-        pairs=pairs,
-        matched_right=matched_right,
-        unmatched_right=frozenset(range(b.right_count)) - matched_right,
+        match_left=np.array(match_left, dtype=np.int64),
+        match_right=np.array(match_right, dtype=np.int64),
         size=size,
     )
 
@@ -188,7 +181,8 @@ def has_alternate_maximum_matching_reference(b: BipartiteGraph, m: MatchingResul
     """A distinct maximum matching must avoid at least one pair of ``m``,
     so it exists iff dropping some matched edge leaves the maximum size
     unchanged: one re-solve per matched pair."""
-    for pair in sorted(m.pairs):
+    pairs = [(u, v) for u, v in enumerate(m.match_left.tolist()) if v != _UNSET]
+    for pair in pairs:
         reduced = tuple(e for e in b.edges if e != pair)
         if maximum_matching_reference(
             BipartiteGraph(b.left_count, b.right_count, reduced)
@@ -205,17 +199,19 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
     pair, at every size."""
     e = g.edge_count
     if e == 0:
-        return EdgeControlAnalysis(frozenset(), 0.0, frozenset(), 0.0, 0, False)
+        return EdgeControlAnalysis(
+            np.empty((0, 2), dtype=np.int64), 0.0, np.empty(0, dtype=np.int64), 0.0, 0, False
+        )
     ld = to_line_digraph(g)
     b = to_bipartite(ld.graph)
     m = maximum_matching_reference(b)
-    unmatched = set(m.unmatched_right) or {0}
-    driver_edges = frozenset(ld.edge_of_node[i] for i in unmatched)
-    driver_nodes = frozenset(src for src, _ in driver_edges)
+    unmatched = [v for v, u in enumerate(m.match_right.tolist()) if u == _UNSET] or [0]
+    driver_edges = sorted(ld.edge_of_node[i] for i in unmatched)
+    driver_nodes = sorted({src for src, _ in driver_edges})
     return EdgeControlAnalysis(
-        driver_edges=driver_edges,
+        driver_edges=np.array(driver_edges, dtype=np.int64),
         m_d=len(driver_edges) / e,
-        driver_nodes=driver_nodes,
+        driver_nodes=np.array(driver_nodes, dtype=np.int64),
         n_d=len(driver_nodes) / g.node_count,
         line_matching_size=m.size,
         alternate_matchings=has_alternate_maximum_matching_reference(b, m),

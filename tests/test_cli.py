@@ -13,7 +13,7 @@ import pytest
 
 import netctl
 from netctl.cli import main
-from netctl.graph import parse_edge_list, to_bipartite
+from netctl.graph import DirectedGraph, parse_edge_list, to_bipartite
 from netctl.matching import maximum_matching
 
 from .oracles import edge_control_via_line_digraph, has_alternate_maximum_matching_reference
@@ -186,6 +186,18 @@ class TestGoldenBytes:
         assert report["node_control"]["driver_nodes"] == [
             18446744073709551616, 99999999999999999999999,
         ]
+        # --drivers finds such ids in the input too, in both modes
+        code, report = run_json(capsys, [
+            "verify", str(path), "--drivers", "18446744073709551616,99999999999999999999999",
+        ])
+        assert code == 0
+        assert report["drivers"] == [18446744073709551616, 99999999999999999999999]
+        code, report = run_json(capsys, [
+            "verify", str(path), "--mode", "edge",
+            "--drivers", "18446744073709551616-9223372036854775808",
+        ])
+        assert (code, report["rank"]) == (3, 9)
+        assert report["drivers"] == ["18446744073709551616-9223372036854775808"]
 
 
 class TestGenerate:
@@ -357,8 +369,14 @@ class TestVerify:
         assert code == 3
         assert report["minimal"]["size"] == 2
 
-    def test_unknown_driver_exits_2(self, capsys, star_file):
+    def test_unknown_driver_exits_2(self, capsys, star_file, tmp_path):
         assert main(["verify", star_file, "--drivers", "9"]) == 2
+        # ids held as int64: no id of 2**63 or more is among them, even
+        # where a float comparison would round it onto 2**63 - 1
+        path = tmp_path / "int64_max.txt"
+        path.write_text("9223372036854775807 0\n0 1\n")
+        for driver in ("9223372036854775808", "18446744073709551616"):
+            assert main(["verify", str(path), "--drivers", driver]) == 2
 
     def test_unknown_edge_exits_2(self, capsys, chain_file):
         assert main([
@@ -395,6 +413,8 @@ class TestVerify:
             raise AssertionError("edge space built for an oversize input")
 
         monkeypatch.setattr("netctl.cli.to_line_digraph", unexpected)
+        # nor a tuple of every edge to look the named edges up in
+        monkeypatch.setattr(DirectedGraph, "edges", property(unexpected))
         assert main(["verify", str(path), "--mode", "edge", "--drivers", "0-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -462,6 +482,16 @@ class TestSteer:
         assert "smaller tf" in err
         assert not recwarn.list
         assert not out.exists()
+
+    def test_growing_system_is_advised_a_smaller_tf(self, capsys, tmp_path):
+        # e^(At) of the 3-cycle grows: a longer horizon only worsens cond(W)
+        path = tmp_path / "cycle.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        args = ["steer", str(path), "--drivers", "0,2", "--xf", "1,2,3", "--tf", "100"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "condition number" in err
+        assert "smaller tf" in err
 
 
 NON_FINITE = ("nan", "inf", "-inf")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,7 +77,9 @@ class TestParse:
         parsed = parse_edge_list_report("# comment\n5 9\n9 5")
         assert parsed.graph.node_count == 2
         assert set(parsed.graph.edges) == {(0, 1), (1, 0)}
-        assert parsed.original_ids == (5, 9)
+        assert parsed.original_ids.tolist() == [5, 9]
+        assert parsed.original_ids.dtype == np.int64
+        assert not parsed.original_ids.flags.writeable
 
     def test_self_loop_rejected_with_node_and_line(self):
         with pytest.raises(SelfLoopError) as err:
@@ -118,7 +121,7 @@ class TestParse:
 
     def test_comments_may_hold_any_utf8(self):
         parsed = parse_edge_list_report("# caf\u00e9 \u0663 1_0\r\n  # x\n4 5\r\n")
-        assert parsed.original_ids == (4, 5)
+        assert parsed.original_ids.tolist() == [4, 5]
         assert parsed.graph.edges == ((0, 1),)
 
     def test_ids_beyond_int64_keep_their_order(self):
@@ -127,9 +130,10 @@ class TestParse:
             "9223372036854775807 007\n"
             "999999999999999999 18446744073709551616\n"
         )
-        assert parsed.original_ids == (
+        assert parsed.original_ids.tolist() == [
             7, 999999999999999999, 9223372036854775807, 18446744073709551616,
-        )
+        ]
+        assert parsed.original_ids.dtype == object
         assert all(type(i) is int for i in parsed.original_ids)
         assert parsed.graph.edges == ((1, 3), (2, 0), (3, 2))
 
@@ -279,3 +283,10 @@ class TestStats:
         assert 0.0 <= s.density <= 1.0
         assert 0.0 <= s.reciprocity <= 1.0
         assert 0 <= s.isolated_count <= g.node_count
+
+    @given(directed_graphs())
+    def test_reciprocity_counts_edges_whose_reverse_exists(self, g):
+        edge_set = set(g.edges)
+        reciprocated = sum((v, u) in edge_set for u, v in g.edges)
+        expected = reciprocated / g.edge_count if g.edge_count else 0.0
+        assert compute_stats(g).reciprocity == expected

@@ -153,7 +153,7 @@ class TestBruteForce:
 
     def test_reciprocal_chain_witness(self, reciprocal_chain):
         size, witness = brute_force_min_drivers(reciprocal_chain)
-        assert size == 1 and witness == {0}
+        assert size == 1 and witness == (0,)
 
     def test_size_limit(self):
         g = DirectedGraph(11, ())

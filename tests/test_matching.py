@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -23,27 +24,41 @@ from .oracles import (
 
 
 def result_from_pairs(b: BipartiteGraph, pairs) -> MatchingResult:
-    pairs = frozenset(pairs)
-    matched = frozenset(r for _, r in pairs)
-    return MatchingResult(
-        pairs=pairs,
-        matched_right=matched,
-        unmatched_right=frozenset(range(b.right_count)) - matched,
-        size=len(pairs),
-    )
+    """Mate arrays holding ``pairs``; when two pairs share an end, the
+    later one wins that end's slot, so the arrays disagree."""
+    match_left = np.full(b.left_count, -1, dtype=np.int64)
+    match_right = np.full(b.right_count, -1, dtype=np.int64)
+    for left, right in pairs:
+        match_left[left] = right
+        match_right[right] = left
+    return MatchingResult(match_left, match_right, size=len(pairs))
+
+
+def pairs_of(m: MatchingResult) -> frozenset[tuple[int, int]]:
+    """The (left, right) pairs of ``m``, read from its left mates."""
+    return frozenset((u, v) for u, v in enumerate(m.match_left.tolist()) if v != -1)
+
+
+def mates_of(m: MatchingResult) -> tuple[list[int], list[int], int]:
+    """Everything ``m`` holds, as plain values that compare with ==."""
+    return m.match_left.tolist(), m.match_right.tolist(), m.size
+
+
+def unmatched_right(m: MatchingResult) -> set[int]:
+    return set(np.flatnonzero(m.match_right == -1).tolist())
 
 
 class TestMaximumMatching:
     def test_star(self, star):
         m = maximum_matching(to_bipartite(star))
         assert m.size == 1
-        assert 0 in m.unmatched_right
-        assert len(m.unmatched_right & {1, 2}) == 1
+        assert 0 in unmatched_right(m)
+        assert len(unmatched_right(m) & {1, 2}) == 1
 
     def test_cycle_is_perfectly_matched(self, three_cycle):
         m = maximum_matching(to_bipartite(three_cycle))
         assert m.size == 3
-        assert m.unmatched_right == frozenset()
+        assert unmatched_right(m) == set()
 
     def test_reciprocal_chain_line_digraph(self, reciprocal_chain):
         # independently verified by exhaustive enumeration over the
@@ -54,13 +69,13 @@ class TestMaximumMatching:
 
     def test_deterministic_canonical_result(self, star):
         b = to_bipartite(star)
-        assert maximum_matching(b) == maximum_matching(b)
+        assert mates_of(maximum_matching(b)) == mates_of(maximum_matching(b))
         # ascending-id exploration matches left 0 to right 1 first
-        assert maximum_matching(b).pairs == frozenset({(0, 1)})
+        assert pairs_of(maximum_matching(b)) == frozenset({(0, 1)})
 
     def test_empty_graph(self):
         m = maximum_matching(BipartiteGraph(0, 0, ()))
-        assert m.size == 0 and m.pairs == frozenset()
+        assert m.size == 0 and pairs_of(m) == frozenset()
 
     @given(bipartite_graphs())
     def test_size_matches_brute_force(self, b):
@@ -77,27 +92,33 @@ class TestMaximumMatching:
     @given(bipartite_graphs())
     def test_result_is_a_valid_matching(self, b):
         m = maximum_matching(b)
-        lefts = [l for l, _ in m.pairs]
-        rights = [r for _, r in m.pairs]
+        pairs = pairs_of(m)
+        lefts = [l for l, _ in pairs]
+        rights = [r for _, r in pairs]
         assert len(set(lefts)) == len(lefts)
         assert len(set(rights)) == len(rights)
-        assert set(m.pairs) <= set(b.edges)
-        assert m.matched_right | m.unmatched_right == set(range(b.right_count))
-        assert not m.matched_right & m.unmatched_right
+        assert pairs <= set(b.edges)
+        # the right mates are the same pairs read from the other side
+        assert {(l, r) for r, l in enumerate(m.match_right.tolist()) if l != -1} == pairs
+        assert m.size == len(pairs)
+        for mates, count in ((m.match_left, b.left_count), (m.match_right, b.right_count)):
+            assert mates.dtype == np.int64 and mates.shape == (count,)
+            assert not mates.flags.writeable
 
 
     @given(bipartite_graphs())
     def test_same_pairs_as_reference_solver(self, b):
-        assert maximum_matching(b) == maximum_matching_reference(b)
+        assert mates_of(maximum_matching(b)) == mates_of(maximum_matching_reference(b))
 
     @given(directed_graphs(max_nodes=12))
     def test_digraph_is_its_own_split(self, g):
-        assert maximum_matching(g) == maximum_matching_reference(to_bipartite(g))
+        reference = maximum_matching_reference(to_bipartite(g))
+        assert mates_of(maximum_matching(g)) == mates_of(reference)
 
     def test_edgeless_and_isolated_nodes(self):
         for b in (BipartiteGraph(5, 0, ()), BipartiteGraph(0, 4, ()),
                   BipartiteGraph(4, 6, ((3, 5),))):
-            assert maximum_matching(b) == maximum_matching_reference(b)
+            assert mates_of(maximum_matching(b)) == mates_of(maximum_matching_reference(b))
 
     @pytest.mark.parametrize("model, n, k, seed", [
         ("er", 500, 1.0, 1), ("er", 500, 2.5, 2), ("er", 500, 4.0, 3),
@@ -106,7 +127,8 @@ class TestMaximumMatching:
     ])
     def test_same_pairs_as_reference_on_generated_graphs(self, model, n, k, seed):
         g = generate(GeneratorSpec(model=model, n=n, mean_degree=k, gamma=2.5, seed=seed))
-        assert maximum_matching(g) == maximum_matching_reference(to_bipartite(g))
+        reference = maximum_matching_reference(to_bipartite(g))
+        assert mates_of(maximum_matching(g)) == mates_of(reference)
 
 
 class TestVerifyMaximality:
@@ -137,9 +159,41 @@ class TestVerifyMaximality:
     def test_rejects_inconsistent_bookkeeping(self, star):
         b = to_bipartite(star)
         m = result_from_pairs(b, {(0, 1)})
-        broken = MatchingResult(m.pairs, m.matched_right, m.unmatched_right, size=7)
+        broken = MatchingResult(m.match_left, m.match_right, size=7)
         with pytest.raises(ContractViolationError):
             verify_maximality(b, broken)
+        short = MatchingResult(m.match_left[:-1], m.match_right, size=1)
+        with pytest.raises(ContractViolationError, match="node counts"):
+            verify_maximality(b, short)
+
+    @given(bipartite_graphs(), st.data())
+    def test_rejects_any_corrupted_pair(self, b, data):
+        m = maximum_matching(b)
+        assume(m.size)
+        left = data.draw(st.sampled_from(np.flatnonzero(m.match_left != -1).tolist()))
+        right = int(m.match_left[left])
+        match_left, match_right = m.match_left.copy(), m.match_right.copy()
+        strangers = sorted(set(range(b.right_count)) - {r for l, r in b.edges if l == left})
+        kinds = ["left only", "right only"]
+        if b.left_count > 1:
+            kinds.append("other left")
+        if strangers:
+            kinds.append("non-neighbour")
+        how = data.draw(st.sampled_from(kinds))
+        if how == "left only":
+            match_right[right] = -1
+        elif how == "right only":
+            match_left[left] = -1
+        elif how == "other left":
+            match_right[right] = data.draw(st.sampled_from(
+                [u for u in range(b.left_count) if u != left]))
+        else:
+            stranger = data.draw(st.sampled_from(strangers))
+            match_left[left], match_right[right] = stranger, -1
+            match_right[stranger] = left
+        size = int(np.count_nonzero(match_left != -1))  # only the arrays disagree
+        with pytest.raises(ContractViolationError):
+            verify_maximality(b, MatchingResult(match_left, match_right, size))
 
     @given(bipartite_graphs())
     def test_canonical_matching_always_verifies(self, b):
@@ -147,7 +201,7 @@ class TestVerifyMaximality:
 
     @given(bipartite_graphs(), st.data())
     def test_dropping_any_pair_is_not_maximal(self, b, data):
-        pairs = maximum_matching(b).pairs
+        pairs = pairs_of(maximum_matching(b))
         assume(pairs)
         dropped = data.draw(st.sampled_from(sorted(pairs)))
         assert verify_maximality(b, result_from_pairs(b, pairs - {dropped})) is False
