@@ -5,6 +5,10 @@ so scripts can tell "uncontrollable" apart from "broken input". JSON is
 the canonical machine output (floats at 6 significant digits); CSV is
 used only for tabular sweep/trajectory data. Outputs are deterministic:
 identical flags and inputs produce byte-identical files.
+
+The ``analyze`` JSON has a fixed section and key order. Its scalars go
+through ``json.dumps``; its driver id lists are written straight from
+the id arrays, in the layout ``json.dumps(indent=2)`` gives them.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +81,39 @@ def _dump_json(obj, out: str | None) -> None:
     _write_text(json.dumps(_round_floats(obj), indent=2) + "\n", out)
 
 
+def _id_list_json(ids: np.ndarray, pad: str) -> str:
+    """``json.dumps(ids.tolist(), indent=2)`` for an id array whose key sits
+    ``pad`` deep: a 1-D array of ids or the (k, 2) rows of driver edges."""
+    if not ids.size:
+        return "[]"
+    inner = pad + "  "
+    items = map(str, ids.ravel().tolist())
+    if ids.ndim == 1:
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    # each row is a two-id list one level deeper; zipping the one iterator
+    # with itself pairs consecutive ids
+    cell = inner + "  "
+    rows = map(f",\n{cell}".join, zip(items, items))
+    return (f"[\n{inner}[\n{cell}" + f"\n{inner}],\n{inner}[\n{cell}".join(rows)
+            + f"\n{inner}]\n{pad}]")
+
+
+def _analysis_json(report: dict) -> str:
+    """The ``analyze`` report text that ``json.dumps(indent=2)`` gives once
+    its id arrays are lists and its floats rounded, built key by key: every
+    scalar through ``json.dumps``, every id array by ``_id_list_json``."""
+    sections = []
+    for name, section in report.items():
+        fields = [
+            f"    {json.dumps(key)}: "
+            + (_id_list_json(value, "    ") if isinstance(value, np.ndarray)
+               else json.dumps(_round_floats(value)))
+            for key, value in section.items()
+        ]
+        sections.append(f"  {json.dumps(name)}: {{\n" + ",\n".join(fields) + "\n  }")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
 def _load(path: str) -> tuple[ParsedEdgeList, str]:
     data = Path(path).read_bytes()
     return parse_edge_list_report(data), hashlib.sha256(data).hexdigest()
@@ -90,9 +125,10 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
     """Full two-method report on one ingested graph.
 
     Every driver fraction is emitted next to a "controlled" label; node
-    ids in the report use the ids from the input file. Density is given
-    under both normalizations (ordered pairs, and edges per unordered
-    pair) since published figures use either.
+    ids in the report use the ids from the input file, and the driver
+    sets stay id arrays. Density is given under both normalizations
+    (ordered pairs, and edges per unordered pair) since published figures
+    use either.
     """
     g = parsed.graph
     stats = compute_stats(g)
@@ -124,7 +160,7 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
             "driver_count": len(node.driver_nodes),
             "matching_size": node.matching_size,
             "alternate_matchings": node.alternate_matchings,
-            "driver_nodes": orig[node.driver_nodes].tolist(),
+            "driver_nodes": orig[node.driver_nodes],
         },
         "edge_control": {
             "method": edge.method,
@@ -135,8 +171,8 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
             "driver_edge_count": len(edge.driver_edges),
             "line_matching_size": edge.line_matching_size,
             "alternate_matchings": edge.alternate_matchings,
-            "driver_nodes": orig[edge.driver_nodes].tolist(),
-            "driver_edges": orig[edge.driver_edges].tolist(),
+            "driver_nodes": orig[edge.driver_nodes],
+            "driver_edges": orig[edge.driver_edges],
         },
     }
 
@@ -146,7 +182,7 @@ def cmd_analyze(args) -> int:
     if parsed.graph.node_count == 0:
         print("error: input describes an empty graph", file=sys.stderr)
         return EXIT_INPUT
-    _dump_json(analysis_report(parsed, args.path, digest), args.out)
+    _write_text(_analysis_json(analysis_report(parsed, args.path, digest)), args.out)
     return EXIT_OK
 
 
@@ -190,6 +226,10 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_sweep(args) -> int:
+    # imported here: ~40 ms that no other command needs on every start
+    import statistics
+    from concurrent.futures import ProcessPoolExecutor
+
     if args.k_max < args.k_min:
         raise NetctlError("k-max must be at least k-min")
     if args.k_max > args.n - 1:

@@ -12,18 +12,19 @@ for graphs with perfectly matched components that no driver can reach
 
 Maximum matchings are rarely unique, so the analysis also says whether
 another one exists: an exact boolean at every size, from one linear
-pass over the canonical matching.
+pass over the canonical matching, run the first time it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyGraphError
 from .graph import DirectedGraph
-from .matching import has_alternate_maximum_matching, maximum_matching
+from .matching import MatchingResult, has_alternate_maximum_matching, maximum_matching
 
 # Unused here; kept as a module attribute because bench/tracer.py wraps it by name.
 from .graph import to_bipartite  # noqa: F401
@@ -33,18 +34,28 @@ from .graph import to_bipartite  # noqa: F401
 class NodeControlAnalysis:
     """Driver set for node dynamics plus the fraction n_d = |drivers|/N.
 
-    ``driver_nodes`` is a sorted, read-only int64 array of dense node ids.
-    ``alternate_matchings`` says, exactly and at every size, whether a
-    second maximum matching exists. The reported driver set is the one
+    ``driver_nodes`` is a sorted, read-only int64 array of dense node ids;
+    ``matching`` is the canonical maximum matching of ``graph`` it comes
+    from. ``alternate_matchings`` says, exactly and at every size, whether
+    a second maximum matching exists. The reported driver set is the one
     induced by the canonical matching; when alternates exist it is *a*
     valid minimum set, not the only one.
     """
 
     driver_nodes: np.ndarray
     n_d: float
-    matching_size: int
-    alternate_matchings: bool
+    graph: DirectedGraph = field(repr=False)
+    matching: MatchingResult = field(repr=False)
     method: str = field(default="node-structural")
+
+    @property
+    def matching_size(self) -> int:
+        return self.matching.size
+
+    @cached_property
+    def alternate_matchings(self) -> bool:
+        """Computed on first read, since the sweep never reads it."""
+        return has_alternate_maximum_matching(self.graph, self.matching)
 
 
 def analyze_node_control(g: DirectedGraph) -> NodeControlAnalysis:
@@ -66,6 +77,6 @@ def analyze_node_control(g: DirectedGraph) -> NodeControlAnalysis:
     return NodeControlAnalysis(
         driver_nodes=drivers,
         n_d=drivers.size / g.node_count,
-        matching_size=m.size,
-        alternate_matchings=has_alternate_maximum_matching(g, m),
+        graph=g,
+        matching=m,
     )

@@ -6,12 +6,13 @@ and the matrix exponential reference from mpmath at high precision.
 Some references keep a former formulation instead: the pure-Python
 Hopcroft-Karp over adjacency lists, the alternate-matching search that
 re-solves once per matched pair, edge control by an explicit matching
-on the line digraph, and the controllability matrix normalized with
-``np.linalg.norm``.
+on the line digraph, the controllability matrix normalized with
+``np.linalg.norm``, and the ``analyze`` report encoded by ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from functools import lru_cache
 
@@ -216,6 +217,22 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
         line_matching_size=m.size,
         alternate_matchings=has_alternate_maximum_matching_reference(b, m),
     )
+
+
+def analysis_json_reference(report: dict) -> str:
+    """The ``analyze`` report as ``json.dumps(indent=2)`` writes it once its
+    id arrays are lists and its floats are rounded to 6 significant digits."""
+
+    def plain(obj):
+        if isinstance(obj, dict):
+            return {key: plain(value) for key, value in obj.items()}
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, float):
+            return float(f"{obj:.6g}")
+        return obj
+
+    return json.dumps(plain(report), indent=2) + "\n"
 
 
 def expm_reference(a: np.ndarray, dps: int = 50) -> np.ndarray:

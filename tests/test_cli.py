@@ -7,16 +7,25 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import netctl
-from netctl.cli import main
+from netctl.cli import _analysis_json, _load, analysis_report, main
 from netctl.graph import DirectedGraph, parse_edge_list, to_bipartite
-from netctl.matching import maximum_matching
+from netctl.matching import has_alternate_maximum_matching, maximum_matching
 
-from .oracles import edge_control_via_line_digraph, has_alternate_maximum_matching_reference
+from .conftest import directed_graphs
+from .oracles import (
+    analysis_json_reference,
+    edge_control_via_line_digraph,
+    has_alternate_maximum_matching_reference,
+)
 
 STAR = "0 1\n0 2\n"
 RECIPROCAL_CHAIN = "0 1\n1 2\n2 1\n2 3\n"
@@ -140,6 +149,61 @@ class TestAnalyze:
         assert main(["analyze", star_file, "--out", str(out1)]) == 0
         assert main(["analyze", star_file, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def report_of(path: str) -> dict:
+    parsed, digest = _load(path)
+    return analysis_report(parsed, path, digest)
+
+
+# ids on both sides of 2**63, where the id arrays switch to object dtype
+NODE_IDS = st.one_of(
+    st.integers(0, 10**6), st.integers(2**63 - 2, 2**63 + 2), st.integers(2**64, 10**30)
+)
+# file names the report quotes as "path": JSON escapes, non-ASCII text,
+# and text shaped like the report's own keys and lists
+FILE_NAMES = st.one_of(
+    st.sampled_from([
+        'q"uote.txt', "back\\slash.txt", "r\u00e9seau \u7f51\u7edc \U0001f310.txt",
+        '"driver_nodes": [', '[\n    1,\n    2\n  ]', '"}, "x": {"', "\\u0041\\n",
+    ]),
+    st.text(
+        st.characters(exclude_characters="/\0", exclude_categories=("Cs",)),
+        min_size=1, max_size=12,
+    ).filter(lambda name: name not in (".", "..")),
+)
+
+
+class TestAnalyzeWriter:
+    """The analyze writer formats id arrays straight to text; its bytes must
+    equal json.dumps of the same report with the arrays as lists."""
+
+    @given(g=directed_graphs(min_nodes=2), data=st.data())
+    def test_bytes_equal_reference_encoder(self, g, data):
+        assume(g.edge_count)
+        ids = data.draw(st.lists(NODE_IDS, min_size=g.node_count,
+                                 max_size=g.node_count, unique=True))
+        name = data.draw(FILE_NAMES)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in", name)
+            os.mkdir(os.path.dirname(path))
+            Path(path).write_text("".join(f"{ids[s]} {ids[t]}\n" for s, t in g.edges))
+            out = Path(tmp, "report.json")
+            assert main(["analyze", path, "--out", str(out)]) == 0
+            assert out.read_bytes() == analysis_json_reference(report_of(path)).encode()
+
+    @pytest.mark.parametrize("driver_nodes, driver_edges", [
+        (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64)),
+        (np.array([7], dtype=np.int64), np.array([[7, 0]], dtype=np.int64)),
+        (np.array([2**63, 10**30], dtype=object),
+         np.array([[2**63, 5], [10**30, 2**64]], dtype=object)),
+    ])
+    def test_id_array_shapes_and_dtypes(self, star_file, driver_nodes, driver_edges):
+        report = report_of(star_file)
+        report["node_control"]["driver_nodes"] = driver_nodes
+        report["edge_control"]["driver_nodes"] = driver_nodes
+        report["edge_control"]["driver_edges"] = driver_edges
+        assert _analysis_json(report) == analysis_json_reference(report)
 
 
 def sha256_of(path) -> str:
@@ -309,6 +373,27 @@ class TestSweep:
         parallel_dir.mkdir()
         parallel, _, _ = self.sweep(parallel_dir)
         assert parallel.read_bytes() == serial_bytes
+
+    def test_sweep_skips_the_alternate_check_analyze_runs(
+        self, capsys, star_file, tmp_path, monkeypatch
+    ):
+        def unexpected(b, m):
+            raise AssertionError("the sweep never reports alternate_matchings")
+
+        monkeypatch.setenv("NETCTL_THREADS", "1")
+        monkeypatch.setattr("netctl.node_control.has_alternate_maximum_matching", unexpected)
+        self.sweep(tmp_path)
+        calls = []
+
+        def counted(b, m):
+            calls.append(m)
+            return has_alternate_maximum_matching(b, m)
+
+        monkeypatch.setattr("netctl.node_control.has_alternate_maximum_matching", counted)
+        code, report = run_json(capsys, ["analyze", star_file])
+        assert code == 0
+        assert report["node_control"]["alternate_matchings"] is True
+        assert len(calls) == 1
 
     def test_infeasible_k_exits_2(self, tmp_path):
         code = main([
@@ -524,10 +609,11 @@ def test_cli_import_does_not_load_scipy():
     src = Path(netctl.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     # importlib.metadata costs ~20 ms per CLI start; the version is a literal
-    probe = ("import sys, netctl.cli; "
-             "sys.exit(any(m in sys.modules for m in ('scipy', 'importlib.metadata')))")
+    # statistics and the process pool cost ~40 ms and serve only the sweep
+    unwanted = ("scipy", "importlib.metadata", "concurrent.futures.process", "statistics")
+    probe = f"import sys, netctl.cli; sys.exit(any(m in sys.modules for m in {unwanted!r}))"
     result = subprocess.run([sys.executable, "-c", probe], env=env)
-    assert result.returncode == 0, "importing netctl.cli loaded scipy or importlib.metadata"
+    assert result.returncode == 0, f"importing netctl.cli loaded one of {unwanted}"
 
 
 def test_analyze_does_not_load_numpy_ma(tmp_path):
