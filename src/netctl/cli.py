@@ -6,9 +6,9 @@ the canonical machine output (floats at 6 significant digits); CSV is
 used only for tabular sweep/trajectory data. Outputs are deterministic:
 identical flags and inputs produce byte-identical files.
 
-The ``analyze`` JSON has a fixed section and key order. Its scalars go
-through ``json.dumps``; its driver id lists are written straight from
-the id arrays, in the layout ``json.dumps(indent=2)`` gives them.
+Every JSON output goes through one writer, which lays it out as
+``json.dumps(indent=2)`` does: scalars go through ``json.dumps``, and
+the ``analyze`` driver id lists are written straight from the id arrays.
 """
 
 from __future__ import annotations
@@ -57,28 +57,11 @@ EXIT_VERIFY = 3
 RANK_TEST_MAX_STATES = 25
 
 
-def _round_floats(obj):
-    """Round every float to 6 significant digits, recursively."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.6g}")
-    if isinstance(obj, dict):
-        return {key: _round_floats(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(value) for value in obj]
-    return obj
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _dump_json(obj, out: str | None) -> None:
-    _write_text(json.dumps(_round_floats(obj), indent=2) + "\n", out)
 
 
 def _id_list_json(ids: np.ndarray, pad: str) -> str:
@@ -98,20 +81,24 @@ def _id_list_json(ids: np.ndarray, pad: str) -> str:
             + f"\n{inner}]\n{pad}]")
 
 
-def _analysis_json(report: dict) -> str:
-    """The ``analyze`` report text that ``json.dumps(indent=2)`` gives once
-    its id arrays are lists and its floats rounded, built key by key: every
-    scalar through ``json.dumps``, every id array by ``_id_list_json``."""
-    sections = []
-    for name, section in report.items():
-        fields = [
-            f"    {json.dumps(key)}: "
-            + (_id_list_json(value, "    ") if isinstance(value, np.ndarray)
-               else json.dumps(_round_floats(value)))
-            for key, value in section.items()
-        ]
-        sections.append(f"  {json.dumps(name)}: {{\n" + ",\n".join(fields) + "\n  }")
-    return "{\n" + ",\n".join(sections) + "\n}\n"
+def _json(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` for a value whose line starts ``pad``
+    deep, once its floats are rounded to 6 significant digits: dicts and
+    lists recurse, id arrays go to ``_id_list_json`` and every other
+    scalar through ``json.dumps``."""
+    if isinstance(obj, np.ndarray):
+        return _id_list_json(obj, pad)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(key)}: {_json(value, inner)}" for key, value in obj.items()]
+    elif isinstance(obj, list):
+        brackets, items = "[]", [_json(value, inner) for value in obj]
+    else:
+        return json.dumps(float(f"{obj:.6g}") if isinstance(obj, float) else obj)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _load(path: str) -> tuple[ParsedEdgeList, str]:
@@ -182,7 +169,7 @@ def cmd_analyze(args) -> int:
     if parsed.graph.node_count == 0:
         print("error: input describes an empty graph", file=sys.stderr)
         return EXIT_INPUT
-    _write_text(_analysis_json(analysis_report(parsed, args.path, digest)), args.out)
+    _write_text(_json(analysis_report(parsed, args.path, digest)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -288,7 +275,7 @@ def cmd_sweep(args) -> int:
                 "m_d_mean": md_mean, "m_d_std": md_std,
             },
         })
-    _dump_json(summary, _summary_path(args.out))
+    _write_text(_json(summary) + "\n", _summary_path(args.out))
     return EXIT_OK
 
 
@@ -326,7 +313,13 @@ def _parse_drivers(text: str, parsed: ParsedEdgeList, mode: str) -> list[int]:
     return drivers
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators, which draw the weights, refuse it
+        raise NetctlError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_verify(args) -> int:
+    _check_seed(args.seed)
     parsed, _ = _load(args.path)
     g = parsed.graph
     drivers = _parse_drivers(args.drivers, parsed, args.mode)
@@ -345,7 +338,7 @@ def cmd_verify(args) -> int:
     else:
         ld = to_line_digraph(g)
         system_graph = ld.graph
-        labels = [f"{orig[s]}-{orig[t]}" for s, t in ld.edge_of_node]
+        labels = [f"{orig[s]}-{orig[t]}" for s, t in ld.edge_of_node.tolist()]
         controlled = "edges"
 
     def relabel(dense_set):
@@ -373,7 +366,7 @@ def cmd_verify(args) -> int:
             system_graph, samples=args.samples, tol=args.tol, seed=args.seed
         )
         report["minimal"] = {"size": size, "witness": relabel(witness)}
-    _dump_json(report, args.out)
+    _write_text(_json(report) + "\n", args.out)
     return EXIT_OK if verdict.full_rank else EXIT_VERIFY
 
 
@@ -411,6 +404,7 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 
 
 def cmd_steer(args) -> int:
+    _check_seed(args.seed)
     parsed, _ = _load(args.path)
     g = parsed.graph
     if g.node_count > RANK_TEST_MAX_STATES:
@@ -423,18 +417,10 @@ def cmd_steer(args) -> int:
     system = system_from_graph(g, drivers, rng=np.random.default_rng(args.seed))
     result = steer(system, x0, xf, args.tf, steps=args.steps, seed=args.seed)
 
-    m = system.m
-    lines = [
-        "time,"
-        + ",".join(f"x_{i}" for i in range(g.node_count))
-        + ","
-        + ",".join(f"u_{j}" for j in range(m))
-    ]
-    for t, x, u in zip(result.times, result.states, result.inputs):
-        row = [f"{t:.6g}"]
-        row += [f"{v:.6g}" for v in x]
-        row += [f"{v:.6g}" for v in u]
-        lines.append(",".join(row))
+    header = ["time", *(f"x_{i}" for i in range(g.node_count)),
+              *(f"u_{j}" for j in range(system.m))]
+    table = np.column_stack((result.times, result.states, result.inputs)).tolist()
+    lines = [",".join(header), *(",".join(f"{v:.6g}" for v in row) for row in table)]
     _write_text("\n".join(lines) + "\n", args.out)
 
     summary = (

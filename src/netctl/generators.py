@@ -94,6 +94,10 @@ class GeneratorSpec:
             )
         if self.model == "sf" and not 2.0 < self.gamma < math.inf:
             raise InfeasibleSpecError(f"gamma must be finite and exceed 2, got {self.gamma}")
+        if self.n * (self.n - 1) >= 2**63:  # the ER pair index is int64
+            raise InfeasibleSpecError(f"n = {self.n} has too many node pairs for int64")
+        if not math.isfinite(self.mean_degree * self.n):
+            raise InfeasibleSpecError(f"mean_degree {self.mean_degree} times n is not finite")
         if self.edge_count > self.n * (self.n - 1):
             raise InfeasibleSpecError(
                 f"mean_degree {self.mean_degree} needs {self.edge_count} edges, "

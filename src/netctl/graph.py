@@ -122,19 +122,9 @@ class DirectedGraph:
     def __repr__(self):
         return f"DirectedGraph({self.node_count}, {self.edges!r})"
 
-    def out_adjacency(self) -> list[list[int]]:
-        """Successor lists, each sorted ascending."""
-        targets, bounds = self.dst.tolist(), self.indptr.tolist()
-        return [targets[bounds[u]:bounds[u + 1]] for u in range(self.node_count)]
-
     def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node (out-degree, in-degree) int64 arrays."""
         return np.diff(self.indptr), np.bincount(self.dst, minlength=self.node_count)
-
-    def degrees(self) -> tuple[list[int], list[int]]:
-        """Per-node (out-degree, in-degree) lists."""
-        outs, ins = self.degree_arrays()
-        return outs.tolist(), ins.tolist()
 
 
 class BipartiteGraph:
@@ -181,24 +171,25 @@ class BipartiteGraph:
         return f"BipartiteGraph({self.left_count}, {self.right_count}, {self.edges!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineDigraph:
     """Edge-space view of a digraph.
 
     ``graph`` is a digraph whose nodes are the original edges; its edge
     (e1, e2) exists iff the original edges form a directed path of length
-    two (target of e1 equals source of e2). ``edge_of_node`` maps each
-    edge-space node id back to the original (source, target) edge and is
-    a bijection onto the original edge set.
+    two (target of e1 equals source of e2). ``edge_of_node`` is an
+    (E, 2) int64 array whose row i is the original (source, target) edge
+    of edge-space node i; its rows are distinct, a bijection onto the
+    original edge set. Equality is identity.
     """
 
     graph: DirectedGraph
-    edge_of_node: tuple[Edge, ...]
+    edge_of_node: np.ndarray
 
     def __post_init__(self):
-        if len(self.edge_of_node) != self.graph.node_count:
-            raise ValueError("edge_of_node must have one entry per edge-space node")
-        if len(set(self.edge_of_node)) != len(self.edge_of_node):
+        if self.edge_of_node.shape != (self.graph.node_count, 2):
+            raise ValueError("edge_of_node must have one row per edge-space node")
+        if len(set(map(tuple, self.edge_of_node.tolist()))) != self.graph.node_count:
             raise ValueError("edge_of_node must be a bijection")
 
 
@@ -417,29 +408,23 @@ def to_bipartite(g: DirectedGraph) -> BipartiteGraph:
     return BipartiteGraph(g.node_count, g.node_count, g.edges)
 
 
+def edge_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the edges of the CSR ``rows``, in row order."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
 def to_line_digraph(g: DirectedGraph) -> LineDigraph:
-    """Build the edge-space digraph of ``g``.
-
-    Edge-space node ids follow the lexicographic order of the original
-    (source, target) edges, so the construction is deterministic.
-    """
-    edge_order = g.edges
-    index = {edge: i for i, edge in enumerate(edge_order)}
-    by_source: dict[int, list[int]] = {}
-    for edge in edge_order:
-        by_source.setdefault(edge[0], []).append(index[edge])
-
-    ld_edges: list[Edge] = []
-    for edge in edge_order:
-        i = index[edge]
-        for j in by_source.get(edge[1], ()):
-            ld_edges.append((i, j))
-    ld_edges.sort()
-
-    return LineDigraph(
-        graph=DirectedGraph(len(edge_order), tuple(ld_edges)),
-        edge_of_node=tuple(edge_order),
-    )
+    """Build the edge-space digraph of ``g``: node i is ``g``'s edge i, in
+    (source, target) order, and its successors are the out-edges of that
+    edge's target, so the edges come out of the CSR arrays already sorted."""
+    heads = edge_positions(g.indptr, g.dst)
+    tails = np.repeat(np.arange(g.edge_count), np.diff(g.indptr)[g.dst])
+    edge_of_node = np.column_stack((g.src, g.dst))
+    edge_of_node.flags.writeable = False
+    return LineDigraph(DirectedGraph.from_arrays(g.edge_count, tails, heads), edge_of_node)
 
 
 def compute_stats(g: DirectedGraph) -> GraphStats:

@@ -270,31 +270,24 @@ def controllability_gramian(s: LtiSystem, tf: float) -> np.ndarray:
 def _pattern_graph(s: LtiSystem) -> DirectedGraph:
     """Off-diagonal sparsity pattern of ``a`` as a digraph (a[i, j] != 0
     means edge j -> i); the diagonal is ignored."""
-    edges = [
-        (j, i)
-        for i in range(s.n)
-        for j in range(s.n)
-        if i != j and s.a[i, j] != 0.0
-    ]
-    return DirectedGraph(s.n, edges)
+    rows, cols = np.nonzero(s.a)
+    off = rows != cols
+    return DirectedGraph.from_arrays(s.n, cols[off], rows[off])
 
 
-def _rk4(
-    deriv: Callable[[int, np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    steps: int,
-    h: float,
-) -> np.ndarray:
-    """Classical fixed-step RK4; ``deriv`` receives the half-grid index
-    (0..2*steps) so time-dependent terms can be tabulated exactly."""
+def _rk4(s: LtiSystem, u_tab: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
+    """Classical fixed-step RK4 of x' = A x + B u from ``x0``, with u given on
+    the half grid (2 * steps + 1 rows of ``u_tab``) so midpoint inputs are exact."""
+    steps = len(u_tab) // 2
+    bu = [s.b @ u for u in u_tab]
     states = np.empty((steps + 1, x0.size))
     states[0] = x0
     x = x0.astype(float)
     for i in range(steps):
-        k1 = deriv(2 * i, x)
-        k2 = deriv(2 * i + 1, x + 0.5 * h * k1)
-        k3 = deriv(2 * i + 1, x + 0.5 * h * k2)
-        k4 = deriv(2 * i + 2, x + h * k3)
+        k1 = s.a @ x + bu[2 * i]
+        k2 = s.a @ (x + 0.5 * h * k1) + bu[2 * i + 1]
+        k3 = s.a @ (x + 0.5 * h * k2) + bu[2 * i + 1]
+        k4 = s.a @ (x + h * k3) + bu[2 * i + 2]
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[i + 1] = x
     return states
@@ -323,9 +316,7 @@ def simulate(
     u_tab = np.empty((2 * steps + 1, s.m))
     for i, t in enumerate(half):
         u_tab[i] = np.broadcast_to(np.asarray(u(t), dtype=float), (s.m,))
-    deriv = lambda idx, x: s.a @ x + s.b @ u_tab[idx]
-    states = _rk4(deriv, x0, steps, tf / steps)
-    return half[::2], states
+    return half[::2], _rk4(s, u_tab, x0, tf / steps)
 
 
 def steer(
@@ -382,8 +373,7 @@ def steer(
     u_tab = np.empty((2 * steps + 1, s.m))
     for i, t in enumerate(half):
         u_tab[i] = s.b.T @ expm(s.a.T * (tf - t)) @ eta
-    deriv = lambda idx, x: s.a @ x + s.b @ u_tab[idx]
-    states = _rk4(deriv, x0, steps, tf / steps)
+    states = _rk4(s, u_tab, x0, tf / steps)
 
     norm_target = float(np.linalg.norm(xf))
     err = float(np.linalg.norm(states[-1] - xf))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .graph import BipartiteGraph, DirectedGraph
+from .graph import BipartiteGraph, DirectedGraph, edge_positions
 
 _UNSET = -1
 
@@ -42,11 +42,11 @@ class MatchingResult:
     size: int
 
 
-def _csr(b: BipartiteGraph | DirectedGraph) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(left count, right count, row pointer, right end of each edge)."""
+def _csr(b: BipartiteGraph | DirectedGraph) -> tuple:
+    """(left count, right count, row pointer, left ends, right ends of the edges)."""
     if isinstance(b, DirectedGraph):
-        return b.node_count, b.node_count, b.indptr, b.dst
-    return b.left_count, b.right_count, b.indptr, b.right
+        return b.node_count, b.node_count, b.indptr, b.src, b.dst
+    return b.left_count, b.right_count, b.indptr, b.left, b.right
 
 
 def _bfs_layers(indptr, right, match_left, match_right) -> tuple[np.ndarray, int]:
@@ -61,11 +61,7 @@ def _bfs_layers(indptr, right, match_left, match_right) -> tuple[np.ndarray, int
     dist[frontier] = 0
     level = 0
     while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        offsets = np.cumsum(counts) - counts
-        edge_ids = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-        partners = match_right[right[edge_ids]]
+        partners = match_right[right[edge_positions(indptr, frontier)]]
         if (partners == _UNSET).any():
             return dist, level + 1
         level += 1
@@ -150,8 +146,7 @@ def maximum_matching(b: BipartiteGraph | DirectedGraph) -> MatchingResult:
     module docstring); the returned matching is one of possibly many
     maximum matchings.
     """
-    left_count, right_count, indptr, right = _csr(b)
-    lefts = np.repeat(np.arange(left_count), np.diff(indptr))
+    left_count, right_count, indptr, lefts, right = _csr(b)
     match_left = np.full(left_count, _UNSET, dtype=np.int64)
     match_right = np.full(right_count, _UNSET, dtype=np.int64)
     while True:
@@ -175,25 +170,24 @@ def maximum_matching(b: BipartiteGraph | DirectedGraph) -> MatchingResult:
 
 
 def _validate_matching(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> None:
-    left_count, right_count, indptr, right = _csr(b)
+    left_count, right_count, _, lefts, right = _csr(b)
     match_left, match_right = m.match_left, m.match_right
     if match_left.shape != (left_count,) or match_right.shape != (right_count,):
         raise ContractViolationError("mate arrays do not fit the graph's node counts")
     # a matched left node must find its mate among the right ends of its edges
-    edge_lefts = np.repeat(np.arange(left_count), np.diff(indptr))
     on_edge = np.zeros(left_count, dtype=bool)
-    on_edge[edge_lefts[match_left[edge_lefts] == right]] = True
+    on_edge[lefts[match_left[lefts] == right]] = True
     stray = (match_left != _UNSET) & ~on_edge
     if stray.any():
         u = int(stray.argmax())
         raise ContractViolationError(
             f"matching pair ({u}, {match_left[u]}) is not a bipartite edge"
         )
-    lefts = np.flatnonzero(match_left != _UNSET)
-    if ((match_right[match_left[lefts]] != lefts).any()
-            or np.count_nonzero(match_right != _UNSET) != lefts.size):
+    matched = np.flatnonzero(match_left != _UNSET)
+    if ((match_right[match_left[matched]] != matched).any()
+            or np.count_nonzero(match_right != _UNSET) != matched.size):
         raise ContractViolationError("mate arrays do not form a matching")
-    if m.size != lefts.size:
+    if m.size != matched.size:
         raise ContractViolationError("size does not match the mate arrays")
 
 
@@ -206,7 +200,7 @@ def verify_maximality(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> b
     on ``b``.
     """
     _validate_matching(b, m)
-    _, _, indptr, right = _csr(b)
+    _, _, indptr, _, right = _csr(b)
     _, free_dist = _bfs_layers(indptr, right, m.match_left, m.match_right)
     return free_dist == _UNSET
 
@@ -225,9 +219,8 @@ def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,
     expression over the edge arrays; the cycle search runs only when it
     fails.
     """
-    left_count, _, indptr, right = _csr(b)
+    left_count, _, _, lefts, right = _csr(b)
     match_left, match_right = m.match_left, m.match_right
-    lefts = np.repeat(np.arange(left_count), np.diff(indptr))
     heads = match_right[right]
     if ((match_left[lefts] == _UNSET) | (heads == _UNSET)).any():
         return True

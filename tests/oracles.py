@@ -7,7 +7,7 @@ Some references keep a former formulation instead: the pure-Python
 Hopcroft-Karp over adjacency lists, the alternate-matching search that
 re-solves once per matched pair, edge control by an explicit matching
 on the line digraph, the controllability matrix normalized with
-``np.linalg.norm``, and the ``analyze`` report encoded by ``json.dumps``.
+``np.linalg.norm``, and the JSON reports encoded by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ def max_matching_size_brute(left_count: int, right_count: int, edges) -> int:
 
 def reachable_from(g: DirectedGraph, sources) -> set[int]:
     """Plain BFS over out-edges."""
-    adj = g.out_adjacency()
+    targets, bounds = g.dst.tolist(), g.indptr.tolist()
     seen = set(sources)
     queue = deque(seen)
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
+        for v in targets[bounds[u]:bounds[u + 1]]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -207,7 +207,7 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
     b = to_bipartite(ld.graph)
     m = maximum_matching_reference(b)
     unmatched = [v for v, u in enumerate(m.match_right.tolist()) if u == _UNSET] or [0]
-    driver_edges = sorted(ld.edge_of_node[i] for i in unmatched)
+    driver_edges = sorted(ld.edge_of_node[unmatched].tolist())
     driver_nodes = sorted({src for src, _ in driver_edges})
     return EdgeControlAnalysis(
         driver_edges=np.array(driver_edges, dtype=np.int64),
@@ -220,12 +220,15 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
 
 
 def analysis_json_reference(report: dict) -> str:
-    """The ``analyze`` report as ``json.dumps(indent=2)`` writes it once its
-    id arrays are lists and its floats are rounded to 6 significant digits."""
+    """A JSON report (``analyze``, ``verify`` or the sweep summary) as
+    ``json.dumps(indent=2)`` writes it once its id arrays are lists and its
+    floats, at any depth, are rounded to 6 significant digits."""
 
     def plain(obj):
         if isinstance(obj, dict):
             return {key: plain(value) for key, value in obj.items()}
+        if isinstance(obj, list):
+            return [plain(value) for value in obj]
         if isinstance(obj, np.ndarray):
             return obj.tolist()
         if isinstance(obj, float):

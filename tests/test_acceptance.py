@@ -146,7 +146,7 @@ def test_criterion_5_edge_oracle_equivalence_on_100_graphs():
         if g.edge_count == 0:
             continue
         ld = to_line_digraph(g)
-        index = {edge: i for i, edge in enumerate(ld.edge_of_node)}
+        index = {edge: i for i, edge in enumerate(map(tuple, ld.edge_of_node.tolist()))}
         analysis = analyze_edge_control(g)
         driver_ids = {index[(s, t)] for s, t in analysis.driver_edges.tolist()}
         if reachable_from(ld.graph, driver_ids) != set(range(ld.graph.node_count)):

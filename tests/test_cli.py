@@ -16,7 +16,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import netctl
-from netctl.cli import _analysis_json, _load, analysis_report, main
+from netctl import cli
+from netctl.cli import _json, _load, analysis_report, main
 from netctl.graph import DirectedGraph, parse_edge_list, to_bipartite
 from netctl.matching import has_alternate_maximum_matching, maximum_matching
 
@@ -175,8 +176,9 @@ FILE_NAMES = st.one_of(
 
 
 class TestAnalyzeWriter:
-    """The analyze writer formats id arrays straight to text; its bytes must
-    equal json.dumps of the same report with the arrays as lists."""
+    """The JSON writer formats id arrays straight to text; its bytes must
+    equal json.dumps of the same report with the arrays as lists, for
+    ``analyze``, ``verify`` and the sweep summary alike."""
 
     @given(g=directed_graphs(min_nodes=2), data=st.data())
     def test_bytes_equal_reference_encoder(self, g, data):
@@ -203,7 +205,38 @@ class TestAnalyzeWriter:
         report["node_control"]["driver_nodes"] = driver_nodes
         report["edge_control"]["driver_nodes"] = driver_nodes
         report["edge_control"]["driver_edges"] = driver_edges
-        assert _analysis_json(report) == analysis_json_reference(report)
+        assert _json(report) + "\n" == analysis_json_reference(report)
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=12,
+    ))
+    def test_any_value_equals_reference_encoder(self, value):
+        assert _json(value) + "\n" == analysis_json_reference(value)
+
+    @pytest.mark.parametrize("argv, written_name", [
+        (["verify", "STAR", "--drivers", "0", "--minimal", "--out", "v.json"], "v.json"),
+        (["verify", "STAR", "--mode", "edge", "--drivers", "0-1", "--minimal",
+          "--out", "v.json"], "v.json"),
+        (["sweep", "--model", "er", "--n", "30", "--k-max", "3", "--k-steps", "3",
+          "--replicates", "3", "--out", "s.csv"], "s.summary.json"),
+    ])
+    def test_verify_and_sweep_equal_reference_encoder(
+            self, star_file, tmp_path, monkeypatch, argv, written_name):
+        # the writer's first call receives the whole report
+        written = []
+
+        def spy(obj, pad=""):
+            written.append(obj)
+            return _json(obj, pad)
+
+        monkeypatch.setattr(cli, "_json", spy)
+        monkeypatch.setenv("NETCTL_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        assert main([star_file if a == "STAR" else a for a in argv]) in (0, 3)
+        assert Path(written_name).read_text() == analysis_json_reference(written[0])
 
 
 def sha256_of(path) -> str:
@@ -217,7 +250,10 @@ class TestGoldenBytes:
     alternate-matching flag became exact above 100 nodes; each differs
     from the old one in that line only ("unchecked" -> true). A report
     states the input path, so each runs on a relative name inside its
-    own directory."""
+    own directory. The ``verify``, ``steer`` and sweep digests were taken
+    before those commands shared the ``analyze`` JSON writer and the
+    CSR-built line digraph; the steer run uses 20 steps so that its
+    reported final error is RK4 truncation, far above rounding noise."""
 
     @pytest.mark.parametrize("name, generate_args, input_sha, report_sha", [
         ("er.txt", ["--model", "er", "--n", "1000", "--k", "3", "--seed", "11"],
@@ -262,6 +298,54 @@ class TestGoldenBytes:
         ])
         assert (code, report["rank"]) == (3, 9)
         assert report["drivers"] == ["18446744073709551616-9223372036854775808"]
+
+    @pytest.mark.parametrize("graph, args, code, report_sha", [
+        (HAND_WRITTEN, ["--drivers", "18446744073709551616,99999999999999999999999",
+                        "--minimal"], 0,
+         "43c0f611a753de49261b9198a99042530cde380f6d6b40f62450e71e478b6652"),
+        (HAND_WRITTEN, ["--mode", "edge", "--drivers",
+                        "18446744073709551616-9223372036854775808,"
+                        "99999999999999999999999-30,7-40", "--minimal"], 0,
+         "a3d1b9d066ac8b030aa31346a53f835328b7176403e12aabb168e2323036f665"),
+        (HAND_WRITTEN, ["--mode", "edge", "--drivers",
+                        "18446744073709551616-9223372036854775808"], 3,
+         "2a70b68aa4c1a95af52c4d87853f6a021a085fc05b95948fe762106293f17f81"),
+        (STAR.encode(), ["--drivers", "0", "--minimal"], 3,
+         "5264976c9a2c232528d8b548670cd17354dab21ed72f4919d121e645f9081ca6"),
+    ])
+    def test_verify_report_bytes(self, tmp_path, graph, args, code, report_sha):
+        path = tmp_path / "g.txt"
+        path.write_bytes(graph)
+        out = tmp_path / "report.json"
+        assert main(["verify", str(path), *args, "--out", str(out)]) == code
+        assert sha256_of(out) == report_sha
+
+    def test_steer_bytes(self, capsys, chain_file, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main([
+            "steer", chain_file, "--drivers", "0,2", "--x0", "1,0,-1,0.5",
+            "--xf", "1,2,3,4", "--steps", "20", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out == (
+            "final_state_relative_error=2.02726e-07 input_energy=503.113 "
+            "gramian_condition=104.499\n"
+        )
+        assert sha256_of(out) == (
+            "e1ed545b6c14ad02ef3b88d1f7e718ffc16ef640b09743b8a10103a5140c0311"
+        )
+
+    def test_readme_sweep_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--model", "er", "--n", "500", "--k-max", "8", "--k-steps", "5",
+            "--replicates", "20", "--seed", "0", "--out", str(out),
+        ]) == 0
+        assert sha256_of(out) == (
+            "1d477974be3dc6f55633f76f5d5d327288cb0b58935d3e41035dc64d4d442a34"
+        )
+        assert sha256_of(tmp_path / "sweep.summary.json") == (
+            "fb75e60f03fa48e7178dc8f20e3f00026b146b13272d5d99121a6fb336bc65d4"
+        )
 
 
 class TestGenerate:
@@ -603,6 +687,18 @@ def test_non_finite_numeric_flags_exit_2(capsys, star_file, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--model", "er", "--n", "5", "--k", "1e308"],
+    ["generate", "--model", "er", "--n", "100000000000000000000", "--k", "0"],
+    ["verify", "STAR", "--drivers", "0", "--seed=-1"],
+    ["steer", "STAR", "--drivers", "0,2", "--xf", "1,2,3", "--seed=-1"],
+])
+def test_out_of_range_numbers_exit_2_with_one_line(capsys, star_file, argv):
+    assert main([star_file if a == "STAR" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_import_does_not_load_scipy():

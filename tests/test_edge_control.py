@@ -112,12 +112,8 @@ def test_driver_nodes_are_exactly_the_sources(g):
 def test_isolated_edges_in_edge_space_are_drivers(g):
     ld = to_line_digraph(g)
     a = analyze_edge_control(g)
-    outs, ins = ld.graph.degrees()
-    isolated_edges = {
-        ld.edge_of_node[i]
-        for i in range(ld.graph.node_count)
-        if outs[i] == 0 and ins[i] == 0
-    }
+    outs, ins = ld.graph.degree_arrays()
+    isolated_edges = set(map(tuple, ld.edge_of_node[(outs == 0) & (ins == 0)].tolist()))
     assert isolated_edges <= edge_set(a)
 
 

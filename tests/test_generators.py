@@ -73,6 +73,17 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleSpecError):
             GeneratorSpec(model="er", n=10, mean_degree=9.5)
 
+    def test_pair_index_beyond_int64(self):
+        # n * (n - 1) ordered pairs are numbered in int64
+        GeneratorSpec(model="er", n=3_037_000_500, mean_degree=0.0)
+        for n in (3_037_000_501, 10**20):
+            with pytest.raises(InfeasibleSpecError, match="int64"):
+                GeneratorSpec(model="er", n=n, mean_degree=0.0)
+
+    def test_edge_count_beyond_floats(self):
+        with pytest.raises(InfeasibleSpecError, match="not finite"):
+            GeneratorSpec(model="er", n=5, mean_degree=1e308)
+
     def test_shallow_gamma(self):
         with pytest.raises(InfeasibleSpecError):
             GeneratorSpec(model="sf", n=10, mean_degree=1.0, gamma=2.0)
@@ -141,20 +152,20 @@ class TestScaleFreeModel:
         # maximum; at the strict 10x-mean bar most seeds clear it
         hub_sizes = []
         for spec in SF_ENSEMBLE:
-            _, ins = generate_sf(spec).degrees()
+            _, ins = generate_sf(spec).degree_arrays()
             hub_sizes.append(max(ins))
         assert all(size >= 7 * 4 for size in hub_sizes)
         assert sum(size > 10 * 4 for size in hub_sizes) >= 14
         _, er_ins = generate_er(
             GeneratorSpec(model="er", n=500, mean_degree=4.0, seed=0)
-        ).degrees()
+        ).degree_arrays()
         assert max(er_ins) < 20
 
     def test_out_degree_tail_exponent(self):
         degrees: list[int] = []
         for spec in SF_ENSEMBLE:
-            outs, _ = generate_sf(spec).degrees()
-            degrees.extend(outs)
+            outs, _ = generate_sf(spec).degree_arrays()
+            degrees.extend(outs.tolist())
         assert 2.3 <= hill_tail_exponent(degrees, k_min=6) <= 3.7
 
     def test_stall_detection(self, monkeypatch):

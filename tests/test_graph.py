@@ -43,9 +43,9 @@ class TestDirectedGraph:
             DirectedGraph(2, ((0, 2),))
 
     def test_degrees(self, star):
-        outs, ins = star.degrees()
-        assert outs == [2, 0, 0]
-        assert ins == [0, 1, 1]
+        outs, ins = star.degree_arrays()
+        assert outs.tolist() == [2, 0, 0]
+        assert ins.tolist() == [0, 1, 1]
 
     def test_sorted_read_only_csr_layout(self):
         g = DirectedGraph(3, ((2, 0), (0, 2), (0, 1)))
@@ -53,7 +53,6 @@ class TestDirectedGraph:
         assert g.dst.tolist() == [1, 2, 0]
         assert g.indptr.tolist() == [0, 2, 2, 3]
         assert g.edges == ((0, 1), (0, 2), (2, 0))
-        assert g.out_adjacency() == [[1, 2], [], [0]]
         assert DirectedGraph.from_arrays(3, [2, 0, 0], [0, 2, 1]) == g
         with pytest.raises(ValueError):
             g.src[0] = 1
@@ -216,11 +215,12 @@ class TestLineDigraph:
         ld = to_line_digraph(star)
         assert ld.graph.node_count == 2
         assert ld.graph.edges == ()
-        assert ld.edge_of_node == ((0, 1), (0, 2))
+        assert ld.edge_of_node.tolist() == [[0, 1], [0, 2]]
+        assert ld.edge_of_node.dtype == np.int64 and not ld.edge_of_node.flags.writeable
 
     def test_reciprocal_chain(self, reciprocal_chain):
         ld = to_line_digraph(reciprocal_chain)
-        assert ld.edge_of_node == ((0, 1), (1, 2), (2, 1), (2, 3))
+        assert ld.edge_of_node.tolist() == [[0, 1], [1, 2], [2, 1], [2, 3]]
         # adjacent original edges form paths of length two
         assert set(ld.graph.edges) == {(0, 1), (1, 2), (1, 3), (2, 1)}
 
@@ -239,14 +239,24 @@ class TestLineDigraph:
 
     @given(directed_graphs())
     def test_edge_count_is_sum_of_degree_products(self, g):
-        outs, ins = g.degrees()
+        outs, ins = g.degree_arrays()
         expected = sum(ins[v] * outs[v] for v in range(g.node_count))
         assert to_line_digraph(g).graph.edge_count == expected
 
     @given(directed_graphs())
+    def test_edges_are_the_paths_of_length_two(self, g):
+        expected = {
+            (i, j)
+            for i, (_, middle) in enumerate(g.edges)
+            for j, (source, _) in enumerate(g.edges)
+            if middle == source
+        }
+        assert set(to_line_digraph(g).graph.edges) == expected
+
+    @given(directed_graphs())
     def test_edge_of_node_is_a_bijection(self, g):
         ld = to_line_digraph(g)
-        assert sorted(ld.edge_of_node) == sorted(g.edges)
+        assert list(map(tuple, ld.edge_of_node.tolist())) == list(g.edges)
 
 
 class TestStats:

@@ -205,6 +205,12 @@ class TestSteer:
         assert result.input_energy == pytest.approx(0.0, abs=1e-16)
         np.testing.assert_allclose(result.states[-1], 0.0, atol=1e-12)
 
+    def test_self_damping_diagonal_is_allowed(self):
+        # the rank test runs on the off-diagonal pattern, the edge 0 -> 1
+        s = LtiSystem(a=np.array([[-1.0, 0.0], [0.8, -1.0]]), b=np.array([[1.0], [0.0]]))
+        result = steer(s, np.zeros(2), np.array([1.0, -1.0]), tf=1.0)
+        assert result.final_error < 1e-6
+
     def test_uncontrollable_driver_refused(self):
         with pytest.raises(UncontrollableError, match="rank 2 of 3"):
             steer(star_system(drivers=(0,)), np.zeros(3), np.ones(3), tf=1.0)

@@ -77,7 +77,7 @@ def test_count_formula_and_fraction(g):
 
 @given(directed_graphs())
 def test_isolated_nodes_are_always_drivers(g):
-    outs, ins = g.degrees()
+    outs, ins = g.degree_arrays()
     isolated = {v for v in range(g.node_count) if outs[v] == 0 and ins[v] == 0}
     assert isolated <= set(analyze_node_control(g).driver_nodes.tolist())
 
