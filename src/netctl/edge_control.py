@@ -19,7 +19,8 @@ nodes do not exist in edge space and are never drivers here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class EdgeControlAnalysis:
     n_d: float
     line_matching_size: int
     alternate_matchings: bool
-    method: str = field(default="edge-switchboard")
+    method: ClassVar[str] = "edge-switchboard"
 
 
 def analyze_edge_control(g: DirectedGraph) -> EdgeControlAnalysis:

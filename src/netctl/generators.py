@@ -30,6 +30,10 @@ from .graph import DirectedGraph
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Largest n a spec accepts: the graph's int64 row pointer alone takes
+# 8 * (n + 1) bytes, and the ER pair index n * (n - 1) stays in int64.
+MAX_NODES = 10**8
+
 
 def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -86,16 +90,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.model not in ("er", "sf"):
             raise InfeasibleSpecError(f"unknown model {self.model!r}")
-        if self.n < 1:
-            raise InfeasibleSpecError("n must be positive")
+        if not 1 <= self.n <= MAX_NODES:
+            raise InfeasibleSpecError(f"n must be between 1 and {MAX_NODES}, got {self.n}")
         if not 0.0 <= self.mean_degree < math.inf:
             raise InfeasibleSpecError(
                 f"mean_degree must be non-negative and finite, got {self.mean_degree}"
             )
         if self.model == "sf" and not 2.0 < self.gamma < math.inf:
             raise InfeasibleSpecError(f"gamma must be finite and exceed 2, got {self.gamma}")
-        if self.n * (self.n - 1) >= 2**63:  # the ER pair index is int64
-            raise InfeasibleSpecError(f"n = {self.n} has too many node pairs for int64")
         if not math.isfinite(self.mean_degree * self.n):
             raise InfeasibleSpecError(f"mean_degree {self.mean_degree} times n is not finite")
         if self.edge_count > self.n * (self.n - 1):

@@ -5,14 +5,13 @@ order in which free left nodes are tried all go by ascending id. Given
 the same edge set it always returns the same (canonical) maximum
 matching.
 
-Each phase runs in three steps: a level-synchronous numpy BFS that
-gives every left node its exact alternating-path distance from the free
-left nodes (up to the first layer that reaches a free right node); a
-numpy filter that keeps only the edges of that phase's layered graph
-that still lead to a free right node; and the ascending-order DFS over
-those edges, from the left nodes that are free at phase start. An edge
-the filter drops leads the DFS only into dead ends, so the matching is
-the one the DFS finds over the full edge lists.
+Each phase is one level-synchronous numpy BFS that layers the left nodes
+by alternating-path distance from the free ones and records the layered
+graph as it goes; a sweep from the last layer down that keeps only the
+layered edges still leading to a free right node; and the ascending-order
+DFS over the kept edges, from the left nodes free at phase start. An edge
+the sweep drops leads the DFS only into dead ends, so the matching is the
+one the DFS finds over the full edge lists.
 
 Every function takes a :class:`BipartiteGraph`, or a
 :class:`DirectedGraph` as its own plus/minus split (left node i is the
@@ -49,57 +48,45 @@ def _csr(b: BipartiteGraph | DirectedGraph) -> tuple:
     return b.left_count, b.right_count, b.indptr, b.left, b.right
 
 
-def _bfs_layers(indptr, right, match_left, match_right) -> tuple[np.ndarray, int]:
-    """Layer left nodes by alternating-path distance from free left nodes.
-
-    Returns the distances (-1 beyond the last layer searched) and the
-    distance at which a free right node is first reached, or -1 when no
-    augmenting path exists.
-    """
+def _bfs_layers(indptr, right, match_left, match_right) -> tuple:
+    """Layer left nodes by alternating-path distance from free left nodes:
+    the distances (-1 beyond the last layer searched), the distance at
+    which a free right node is first reached (-1 if none), per layer the
+    (edges, partners) stepping to the next layer, and the edges from the
+    last layer into free right nodes."""
     dist = np.full(match_left.size, _UNSET, dtype=np.int64)
     frontier = np.flatnonzero(match_left == _UNSET)
     dist[frontier] = 0
-    level = 0
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
     while frontier.size:
-        partners = match_right[right[edge_positions(indptr, frontier)]]
+        edges = edge_positions(indptr, frontier)
+        partners = match_right[right[edges]]
         if (partners == _UNSET).any():
-            return dist, level + 1
-        level += 1
-        dist[partners[dist[partners] == _UNSET]] = level
-        frontier = np.flatnonzero(dist == level)
-    return dist, _UNSET
+            return dist, len(steps) + 1, steps, edges[partners == _UNSET]
+        fresh = dist[partners] == _UNSET
+        edges, partners = edges[fresh], partners[fresh]
+        dist[partners] = len(steps) + 1
+        steps.append((edges, partners))
+        frontier = np.flatnonzero(dist == len(steps))
+    return dist, _UNSET, steps, frontier
 
 
-def _layered_edges(lefts, right, dist, free_dist, match_right) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the edges a shortest augmenting path can use this phase,
-    and which left nodes reach a free right node through them.
-
-    An edge is kept when it steps from the last layer to a right node
-    free at phase start, or from one layer to the next along the right
-    node's partner, and that partner is alive. A left node is alive when
-    a kept path leads from it to a free right node. A node dead at phase
-    start stays dead: augmenting only uses up free right nodes, and an
-    edge that gains a layered partner by an augmentation shares an edge
-    with that augmenting path, so no shortest path can use it.
-    """
-    from_dist = dist[lefts]
-    partner = match_right[right]
-    into_free = partner == _UNSET
-    into_free &= from_dist == free_dist - 1
-    step = dist[partner] == from_dist + 1
-    step &= (from_dist >= 0) & (partner != _UNSET)
-    alive = np.zeros(dist.size, dtype=bool)
+def _live_edges(lefts, left_count, steps, into_free) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the layered edges that lead to a free right node, and the
+    left nodes alive through them, settled from the last layer down. A
+    node dead at phase start stays dead: augmenting only uses up free
+    right nodes, and an edge that gains a layered partner by an
+    augmentation shares an edge with that path, so no shortest path can
+    use it."""
+    keep = np.zeros(lefts.size, dtype=bool)
+    keep[into_free] = True
+    alive = np.zeros(left_count, dtype=bool)
     alive[lefts[into_free]] = True
-    # settle layers from the last one down, so a partner's fate is known
-    stepping = np.flatnonzero(step)
-    stepping = stepping[np.argsort(from_dist[stepping], kind="stable")]
-    cuts = np.searchsorted(from_dist[stepping], np.arange(free_dist))
-    for level in range(free_dist - 2, -1, -1):
-        here = stepping[cuts[level]:cuts[level + 1]]
-        here = here[alive[partner[here]]]
-        alive[lefts[here]] = True
-    step &= alive[partner]
-    return into_free | step, alive
+    for edges, partners in reversed(steps):
+        edges = edges[alive[partners]]
+        keep[edges] = True
+        alive[lefts[edges]] = True
+    return keep, alive
 
 
 def _augment(root, targets, ptr, end, match_left, match_right, dist, free_dist) -> bool:
@@ -150,17 +137,17 @@ def maximum_matching(b: BipartiteGraph | DirectedGraph) -> MatchingResult:
     match_left = np.full(left_count, _UNSET, dtype=np.int64)
     match_right = np.full(right_count, _UNSET, dtype=np.int64)
     while True:
-        dist, free_dist = _bfs_layers(indptr, right, match_left, match_right)
+        dist, free_dist, steps, into_free = _bfs_layers(indptr, right, match_left, match_right)
         if free_dist == _UNSET:
             break
-        keep, alive = _layered_edges(lefts, right, dist, free_dist, match_right)
+        keep, alive = _live_edges(lefts, left_count, steps, into_free)
         bounds = np.zeros(left_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(lefts[keep], minlength=left_count), out=bounds[1:])
         roots = np.flatnonzero((match_left == _UNSET) & alive).tolist()
         targets, ptr, end = right[keep].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()
         ml, mr, dl = match_left.tolist(), match_right.tolist(), dist.tolist()
         found = [_augment(u, targets, ptr, end, ml, mr, dl, free_dist) for u in roots]
-        if not any(found):  # the BFS saw a path, so a sound filter keeps one
+        if not any(found):  # the BFS saw a path, so a sound sweep keeps one
             raise RuntimeError("a Hopcroft-Karp phase found no augmenting path")
         match_left, match_right = np.array(ml, dtype=np.int64), np.array(mr, dtype=np.int64)
 
@@ -201,8 +188,7 @@ def verify_maximality(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> b
     """
     _validate_matching(b, m)
     _, _, indptr, _, right = _csr(b)
-    _, free_dist = _bfs_layers(indptr, right, m.match_left, m.match_right)
-    return free_dist == _UNSET
+    return _bfs_layers(indptr, right, m.match_left, m.match_right)[1] == _UNSET
 
 
 def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class NodeControlAnalysis:
     n_d: float
     graph: DirectedGraph = field(repr=False)
     matching: MatchingResult = field(repr=False)
-    method: str = field(default="node-structural")
+    method: ClassVar[str] = "node-structural"
 
     @property
     def matching_size(self) -> int:

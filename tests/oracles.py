@@ -4,10 +4,12 @@ These deliberately avoid the library's own algorithms: matching sizes
 come from a bitmask DP over right nodes, reachability from a plain BFS,
 and the matrix exponential reference from mpmath at high precision.
 Some references keep a former formulation instead: the pure-Python
-Hopcroft-Karp over adjacency lists, the alternate-matching search that
-re-solves once per matched pair, edge control by an explicit matching
-on the line digraph, the controllability matrix normalized with
-``np.linalg.norm``, and the JSON reports encoded by ``json.dumps``.
+Hopcroft-Karp over adjacency lists, the layered-edge filter that
+recomputes every edge's layer and sorts the stepping edges by it, the
+alternate-matching search that re-solves once per matched pair, edge
+control by an explicit matching on the line digraph, the
+controllability matrix normalized with ``np.linalg.norm``, and the JSON
+reports encoded by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -176,6 +178,52 @@ def maximum_matching_reference(b: BipartiteGraph) -> MatchingResult:
         match_right=np.array(match_right, dtype=np.int64),
         size=size,
     )
+
+
+def bfs_layers_reference(b: BipartiteGraph, m: MatchingResult) -> tuple[np.ndarray, int]:
+    """Queue-BFS distances of the left nodes from the free ones along
+    alternating paths, -1 from the layer that first reaches a free right
+    node on, and that layer's distance (-1 when no augmenting path
+    exists)."""
+    dist = [_UNSET] * b.left_count
+    adj = _sorted_adjacency(b)
+    free_dist = _bfs_layers(adj, m.match_left.tolist(), m.match_right.tolist(), dist)
+    dist = np.array(dist, dtype=np.int64)
+    if free_dist != _UNSET:
+        dist[dist >= free_dist] = _UNSET
+    return dist, free_dist
+
+
+def layered_edges_reference(lefts, right, dist, free_dist, match_right) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the edges a shortest augmenting path can use this phase,
+    and which left nodes reach a free right node through them.
+
+    An edge is kept when it steps from the last layer to a right node
+    free at phase start, or from one layer to the next along the right
+    node's partner, and that partner is alive. A left node is alive when
+    a kept path leads from it to a free right node. A node dead at phase
+    start stays dead: augmenting only uses up free right nodes, and an
+    edge that gains a layered partner by an augmentation shares an edge
+    with that augmenting path, so no shortest path can use it.
+    """
+    from_dist = dist[lefts]
+    partner = match_right[right]
+    into_free = partner == _UNSET
+    into_free &= from_dist == free_dist - 1
+    step = dist[partner] == from_dist + 1
+    step &= (from_dist >= 0) & (partner != _UNSET)
+    alive = np.zeros(dist.size, dtype=bool)
+    alive[lefts[into_free]] = True
+    # settle layers from the last one down, so a partner's fate is known
+    stepping = np.flatnonzero(step)
+    stepping = stepping[np.argsort(from_dist[stepping], kind="stable")]
+    cuts = np.searchsorted(from_dist[stepping], np.arange(free_dist))
+    for level in range(free_dist - 2, -1, -1):
+        here = stepping[cuts[level]:cuts[level + 1]]
+        here = here[alive[partner[here]]]
+        alive[lefts[here]] = True
+    step &= alive[partner]
+    return into_free | step, alive
 
 
 def has_alternate_maximum_matching_reference(b: BipartiteGraph, m: MatchingResult) -> bool:

@@ -701,6 +701,18 @@ def test_out_of_range_numbers_exit_2_with_one_line(capsys, star_file, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", ["100000001", "3037000500"])
+def test_generate_refuses_node_count_above_cap_before_generating(capsys, monkeypatch, n):
+    # a graph this size would not fit in memory: refuse it before any allocation
+    def must_not_run(spec):
+        raise AssertionError(f"generate ran for n = {spec.n}")
+
+    monkeypatch.setattr(cli, "generate", must_not_run)
+    assert main(["generate", "--model", "er", "--n", n, "--k", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and n in err
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(netctl.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -7,6 +7,7 @@ import pytest
 
 from netctl.errors import GenerationStallError, InfeasibleSpecError
 from netctl.generators import (
+    MAX_NODES,
     GeneratorSpec,
     SplitMix64,
     derive_seed,
@@ -74,11 +75,19 @@ class TestSpecValidation:
             GeneratorSpec(model="er", n=10, mean_degree=9.5)
 
     def test_pair_index_beyond_int64(self):
-        # n * (n - 1) ordered pairs are numbered in int64
-        GeneratorSpec(model="er", n=3_037_000_500, mean_degree=0.0)
+        # n * (n - 1) ordered pairs are numbered in int64; the node cap
+        # refuses such n long before the pair index could overflow
         for n in (3_037_000_501, 10**20):
-            with pytest.raises(InfeasibleSpecError, match="int64"):
+            with pytest.raises(InfeasibleSpecError, match=f"between 1 and {MAX_NODES}"):
                 GeneratorSpec(model="er", n=n, mean_degree=0.0)
+
+    @pytest.mark.parametrize("model", ["er", "sf"])
+    def test_node_count_cap(self, model):
+        assert MAX_NODES * (MAX_NODES - 1) < 2**63
+        assert GeneratorSpec(model=model, n=MAX_NODES, mean_degree=0.0).n == MAX_NODES
+        for n in (MAX_NODES + 1, 3_037_000_500):
+            with pytest.raises(InfeasibleSpecError, match=f"between 1 and {MAX_NODES}, got {n}"):
+                GeneratorSpec(model=model, n=n, mean_degree=0.0)
 
     def test_edge_count_beyond_floats(self):
         with pytest.raises(InfeasibleSpecError, match="not finite"):

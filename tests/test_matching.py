@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netctl.errors import ContractViolationError
@@ -10,6 +10,9 @@ from netctl.generators import GeneratorSpec, generate
 from netctl.graph import BipartiteGraph, to_bipartite, to_line_digraph
 from netctl.matching import (
     MatchingResult,
+    _bfs_layers,
+    _csr,
+    _live_edges,
     has_alternate_maximum_matching,
     maximum_matching,
     verify_maximality,
@@ -17,7 +20,9 @@ from netctl.matching import (
 
 from .conftest import bipartite_graphs, directed_graphs
 from .oracles import (
+    bfs_layers_reference,
     has_alternate_maximum_matching_reference,
+    layered_edges_reference,
     max_matching_size_brute,
     maximum_matching_reference,
 )
@@ -129,6 +134,60 @@ class TestMaximumMatching:
         g = generate(GeneratorSpec(model=model, n=n, mean_degree=k, gamma=2.5, seed=seed))
         reference = maximum_matching_reference(to_bipartite(g))
         assert mates_of(maximum_matching(g)) == mates_of(reference)
+
+
+class TestLayeredGraph:
+    """The layered graph the BFS records, swept for liveness, keeps the
+    same edges and alive nodes as recomputing every edge's layer."""
+
+    @staticmethod
+    def check_against_reference(b, data):
+        # any matching: a drawn edge set, minus the edges that share an end
+        drawn = data.draw(st.sets(st.sampled_from(b.edges))) if b.edges else set()
+        pairs, lefts_used, rights_used = [], set(), set()
+        for left, right in sorted(drawn):
+            if left not in lefts_used and right not in rights_used:
+                pairs.append((left, right))
+                lefts_used.add(left)
+                rights_used.add(right)
+        m = result_from_pairs(b, pairs)
+        left_count, _, indptr, lefts, right = _csr(b)
+        dist, free_dist, steps, into_free = _bfs_layers(indptr, right, m.match_left, m.match_right)
+        ref_dist, ref_free_dist = bfs_layers_reference(b, m)
+        assert free_dist == ref_free_dist
+        assert np.array_equal(dist, ref_dist)
+        if free_dist == -1:
+            assert m.size == maximum_matching_reference(b).size
+            return
+        keep, alive = _live_edges(lefts, left_count, steps, into_free)
+        ref_keep, ref_alive = layered_edges_reference(lefts, right, ref_dist, free_dist,
+                                                      m.match_right)
+        assert np.array_equal(keep, ref_keep)
+        assert np.array_equal(alive, ref_alive)
+
+    # a few percent of drawn matchings leave a dead branch in the layered
+    # graph, so these run more examples than the suite's default
+    @settings(max_examples=300)
+    @given(bipartite_graphs(), st.data())
+    def test_bipartite_graphs(self, b, data):
+        self.check_against_reference(b, data)
+
+    @settings(max_examples=300)
+    @given(directed_graphs(max_nodes=12), st.data())
+    def test_digraph_splits(self, g, data):
+        self.check_against_reference(to_bipartite(g), data)
+
+    def test_dead_branch_is_dropped(self):
+        # free left 0 reaches matched left 1, whose only edge is its own
+        # pair; free left 2 reaches matched left 3, which has a free right
+        b = BipartiteGraph(4, 3, ((0, 0), (1, 0), (2, 1), (3, 1), (3, 2)))
+        m = result_from_pairs(b, [(1, 0), (3, 1)])
+        left_count, _, indptr, lefts, right = _csr(b)
+        dist, free_dist, steps, into_free = _bfs_layers(indptr, right, m.match_left, m.match_right)
+        assert dist.tolist() == [0, 1, 0, 1] and free_dist == 2
+        keep, alive = _live_edges(lefts, left_count, steps, into_free)
+        assert keep.tolist() == [False, False, True, False, True]
+        assert alive.tolist() == [False, False, True, True]
 
 
 class TestVerifyMaximality:
