@@ -35,6 +35,7 @@ from .generators import GeneratorSpec, derive_seed, generate
 from .graph import (
     ParsedEdgeList,
     compute_stats,
+    max_id_digits,
     parse_edge_list_report,
     serialize_edge_list,
     to_line_digraph,
@@ -294,7 +295,7 @@ def _parse_drivers(text: str, parsed: ParsedEdgeList, mode: str) -> list[int]:
     """State indices named by ``--drivers``: node ids '0,2' in node mode,
     edges '0-1,2-3' in edge mode, where an edge's state index is its
     position in the sorted edge list (the line digraph's node order).
-    Ids follow the edge-list grammar: ASCII digits only."""
+    Ids follow the edge-list grammar: ASCII digits, at most max_id_digits() of them."""
     orig, g = parsed.original_ids, parsed.graph
     arity, shape = (1, "a node id") if mode == "node" else (2, "an edge 'src-dst'")
     drivers = []
@@ -303,6 +304,8 @@ def _parse_drivers(text: str, parsed: ParsedEdgeList, mode: str) -> list[int]:
         ids = token.split("-")
         if len(ids) != arity or not all(part.isascii() and part.isdigit() for part in ids):
             raise NetctlError(f"driver {token!r} is not {shape} of ASCII digits")
+        if max(map(len, ids)) > max_id_digits():
+            raise NetctlError(f"driver id over the limit of {max_id_digits()} digits")
         found = [_find(orig, int(part), 0, orig.size) for part in ids]
         if mode == "edge" and None not in found:
             s, t = found

@@ -12,6 +12,8 @@ threads; every operation in this module is a pure function.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -237,6 +239,14 @@ class ParsedEdgeList:
 #: Ids of at most this many digits fit in int64 (10**18 - 1 < 2**63).
 _INT64_SAFE_DIGITS = 18
 
+#: A byte outside the grammar, or an "\r" that ends neither a line nor the input.
+_BAD_BYTE = re.compile(rb"[^0-9 \t\r\n]|\r(?!\n|\Z)")
+
+
+def max_id_digits() -> int:
+    """The most digits of a node id: Python's int-string limit, else sys.maxsize."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
+
 
 def parse_edge_list_report(text: str | bytes) -> ParsedEdgeList:
     """Parse edge-list text into a digraph, keeping the remapping table.
@@ -244,16 +254,15 @@ def parse_edge_list_report(text: str | bytes) -> ParsedEdgeList:
     Grammar: the input is UTF-8; lines end with "\\n" (an "\\r" before
     it is dropped). After stripping spaces and tabs, a line is blank, a
     comment (starts with '#'), or two node ids separated by spaces or
-    tabs. A node id is one or more ASCII digits 0-9, of any length.
-    Anything else - signs, underscores, non-ASCII digits, other
-    whitespace, invalid UTF-8 - raises EdgeListParseError naming the
-    line; a self-loop raises SelfLoopError.
+    tabs. A node id is one or more ASCII digits 0-9, at most
+    :func:`max_id_digits` of them. Anything else - signs, underscores,
+    non-ASCII digits, other whitespace, invalid UTF-8, longer ids - raises
+    EdgeListParseError naming the line; a self-loop raises SelfLoopError.
 
     Node ids need not be contiguous; they are remapped to dense ids in
     ascending order of the original ids. Duplicate edges are collapsed.
-    A vectorised scan reads well-formed input with ids of up to 18
-    digits; the line-by-line scan runs otherwise, to name the first bad
-    line or to read longer ids as Python integers.
+    One vectorised scan reads every input; on input outside the grammar
+    it checks just the earliest bad line in Python to name the error.
     """
     data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
     if not data.isascii():
@@ -262,99 +271,87 @@ def parse_edge_list_report(text: str | bytes) -> ParsedEdgeList:
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise EdgeListParseError("input is not valid UTF-8", line=line) from None
-    ids = _scan_ids(data)
-    if ids is None:
-        ids = _scan_lines(data.decode("utf-8"))
-    return _remap(*ids)
+    return _remap(*_scan_ids(data))
 
 
-def _scan_ids(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Vectorised scan: (source ids, target ids) as int64 arrays, one
-    entry per edge line, or None when ``data`` is not well-formed, has a
-    self-loop, or has an id longer than 18 digits."""
-    if b"#" in data:
-        data = _drop_comment_lines(data)
-        if data is None:
-            return None
-    if b"\r" in data:
-        if data.count(b"\r") != data.count(b"\r\n") + data.endswith(b"\r"):
-            return None
-        data = data.replace(b"\r", b" ")
-    if data.translate(None, b"0123456789 \t\n"):
-        return None
+def _scan_ids(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised scan of UTF-8 ``data``: (source ids, target ids), one
+    entry per edge line, as int64 arrays, or as object arrays of Python
+    ints when some id is 2**63 or above. Raises the first bad line's error."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    # every byte left is a digit or one of " \t\n", which sort below "0"
-    digit = np.concatenate(([False], buf >= ord("0"), [False]))
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if b"#" in data:
+        data = _blank_comment_lines(data, newlines)
+        buf = np.frombuffer(data, dtype=np.uint8)
+    cut = None  # start of the line of the first byte outside the grammar
+    if (b"\r" in data and data.count(b"\r") != data.count(b"\r\n") + data.endswith(b"\r")
+            or data.translate(None, b"0123456789 \t\r\n")):
+        cut = data.rfind(b"\n", 0, _BAD_BYTE.search(data).start()) + 1
+        buf = buf[:cut]
+    # every byte left is a digit or one of " \t\r\n", which sort below "0"
+    bounds = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False, append=False))
     starts, ends = bounds[0::2], bounds[1::2]
-    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
-    if (starts.size % 2 or (line[0::2] != line[1::2]).any()
-            or (line[2::2] == line[1:-1:2]).any()):
-        return None  # some line holds other than two ids
+    line = np.searchsorted(newlines, starts)
+    line = np.append(line, -1) if line.size % 2 else line  # a lone last id: a bad pair
+    # ids 2p, 2p + 1 are a bad pair on two lines, with 2p + 2 on theirs, too long or equal
+    bad = line[0::2] != line[1::2]
+    bad[:-1] |= line[2::2] == line[1:-1:2]
+    del newlines, line  # not held through the digit loop, the peak of the scan
     width = ends - starts
     longest = int(width.max(initial=0))
-    if longest > _INT64_SAFE_DIGITS:
-        return None
     values = np.zeros(starts.size, dtype=np.int64)
-    for k in range(longest):
+    for k in range(min(longest, _INT64_SAFE_DIGITS)):
         more = width > k
         values[more] = values[more] * 10 + (buf[starts[more] + k] - ord("0"))
+    if longest > _INT64_SAFE_DIGITS:
+        long, limit = np.flatnonzero(width > _INT64_SAFE_DIGITS), max_id_digits()
+        bad[long[width[long] > limit] // 2] = True
+        big = [int(data[s:e]) if e - s <= limit else 0
+               for s, e in zip(starts[long].tolist(), ends[long].tolist())]
+        values = values.astype(object if max(big) >= 2**63 else np.int64)
+        values[long] = big
     src, dst = values[0::2], values[1::2]
-    if (src == dst).any():
-        return None
+    bad[:dst.size] |= src[:dst.size] == dst
+    if bad.any() or cut is not None:
+        _check_line(data, starts[2 * bad.argmax()] if bad.any() else cut)
+        raise RuntimeError("the scan stopped at a line inside the grammar")
     return src, dst
 
 
-def _drop_comment_lines(data: bytes) -> bytes | None:
-    """``data`` without its comment lines (each keeps its "\\n"), or None
-    when a '#' appears after an id on some line."""
-    kept = []
-    copied = 0
-    hash_at = data.find(b"#")
-    while hash_at != -1:
-        start = data.rfind(b"\n", 0, hash_at) + 1
+def _blank_comment_lines(data: bytes, newlines: np.ndarray) -> bytearray:
+    """``data`` with each comment line's text from its '#' on turned to
+    spaces, so that no byte moves, up to the first '#' after an id: the
+    scan stops at that line."""
+    hashes = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("#"))
+    line = np.searchsorted(newlines, hashes)
+    hashes, line = hashes[_first_of_runs(line)], line[_first_of_runs(line)]
+    bounds = np.concatenate(([-1], newlines, [len(data)]))
+    blanked = bytearray(data)
+    for start, hash_at, end in zip((bounds[line] + 1).tolist(), hashes.tolist(),
+                                   bounds[line + 1].tolist()):
         if data[start:hash_at].strip(b" \t"):
-            return None
-        end = data.find(b"\n", hash_at)
-        end = len(data) if end == -1 else end
-        kept.append(data[copied:start])
-        copied = end
-        hash_at = data.find(b"#", end)
-    kept.append(data[copied:])
-    return b"".join(kept)
+            break
+        blanked[hash_at:end] = b" " * (end - hash_at)
+    return blanked
 
 
-def _scan_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line scan with the grammar of parse_edge_list_report.
-    Raises on the first bad line; ids of 2**63 and above come back in
-    object arrays of Python integers."""
-    src: list[int] = []
-    dst: list[int] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        stripped = line.strip(" \t")
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = [part for part in stripped.replace("\t", " ").split(" ") if part]
-        if len(parts) != 2:
-            raise EdgeListParseError(
-                f"expected 'src dst', got {stripped!r}", line=lineno
-            )
-        for part in parts:
-            if not (part.isascii() and part.isdigit()):
-                raise EdgeListParseError(
-                    f"node id {part!r} is not a non-negative integer of ASCII "
-                    f"digits, in {stripped!r}",
-                    line=lineno,
-                )
-        s, d = int(parts[0]), int(parts[1])
-        if s == d:
-            raise SelfLoopError(node=s, line=lineno)
-        src.append(s)
-        dst.append(d)
-    dtype = np.int64 if max(src + dst, default=0) < 2**63 else object
-    return np.array(src, dtype=dtype), np.array(dst, dtype=dtype)
+def _check_line(data: bytes, at: int) -> None:
+    """Raise the grammar's error for the edge line of ``data`` holding byte ``at``."""
+    start, end = data.rfind(b"\n", 0, at) + 1, data.find(b"\n", at)
+    stripped = data[start:end if end >= 0 else None].decode().removesuffix("\r").strip(" \t")
+    lineno = data.count(b"\n", 0, start) + 1
+    parts = [part for part in stripped.replace("\t", " ").split(" ") if part]
+    if len(parts) != 2:
+        raise EdgeListParseError(f"expected 'src dst', got {stripped!r}", line=lineno)
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            raise EdgeListParseError(f"node id {part!r} is not a non-negative integer "
+                                     f"of ASCII digits, in {stripped!r}", line=lineno)
+    if max(map(len, parts)) > max_id_digits():
+        raise EdgeListParseError(f"node id of {max(map(len, parts))} digits is over "
+                                 f"the limit of {max_id_digits()} digits", line=lineno)
+    if int(parts[0]) == int(parts[1]):
+        raise SelfLoopError(node=int(parts[0]), line=lineno)
 
 
 def _remap(src_ids: np.ndarray, dst_ids: np.ndarray) -> ParsedEdgeList:

@@ -8,8 +8,9 @@ Hopcroft-Karp over adjacency lists, the layered-edge filter that
 recomputes every edge's layer and sorts the stepping edges by it, the
 alternate-matching search that re-solves once per matched pair, edge
 control by an explicit matching on the line digraph, the
-controllability matrix normalized with ``np.linalg.norm``, and the JSON
-reports encoded by ``json.dumps``.
+controllability matrix normalized with ``np.linalg.norm``, the JSON
+reports encoded by ``json.dumps``, and the edge-list scan that parses
+every line in Python.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import mpmath
 import numpy as np
 
 from netctl.edge_control import EdgeControlAnalysis
+from netctl.errors import EdgeListParseError, SelfLoopError
 from netctl.graph import BipartiteGraph, DirectedGraph, to_bipartite, to_line_digraph
 from netctl.kalman import LtiSystem
 from netctl.matching import MatchingResult
@@ -265,6 +267,39 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
         line_matching_size=m.size,
         alternate_matchings=has_alternate_maximum_matching_reference(b, m),
     )
+
+
+def scan_lines_reference(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line scan with the grammar of parse_edge_list_report.
+    Raises on the first bad line; ids of 2**63 and above come back in
+    object arrays of Python integers."""
+    src: list[int] = []
+    dst: list[int] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
+        stripped = line.strip(" \t")
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = [part for part in stripped.replace("\t", " ").split(" ") if part]
+        if len(parts) != 2:
+            raise EdgeListParseError(
+                f"expected 'src dst', got {stripped!r}", line=lineno
+            )
+        for part in parts:
+            if not (part.isascii() and part.isdigit()):
+                raise EdgeListParseError(
+                    f"node id {part!r} is not a non-negative integer of ASCII "
+                    f"digits, in {stripped!r}",
+                    line=lineno,
+                )
+        s, d = int(parts[0]), int(parts[1])
+        if s == d:
+            raise SelfLoopError(node=s, line=lineno)
+        src.append(s)
+        dst.append(d)
+    dtype = np.int64 if max(src + dst, default=0) < 2**63 else object
+    return np.array(src, dtype=dtype), np.array(dst, dtype=dtype)
 
 
 def analysis_json_reference(report: dict) -> str:

@@ -134,6 +134,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("content", [
         b"0 1\n1_0 2\n", b"0 1\n+3 4\n", "0 1\n\u0663 4\n".encode(),
         b"0 1\n2 \xff3\n",
+        pytest.param(b"0 1\n" + b"1" * 5000 + b" 2\n", id="id-over-the-digit-limit"),
     ])
     def test_non_ascii_digit_ids_and_bad_utf8_exit_2_with_line(
             self, capsys, tmp_path, content):
@@ -557,6 +558,8 @@ class TestVerify:
         ["verify", "--mode", "edge", "--drivers", "+0-1"],
         ["verify", "--drivers", "1_0"],
         ["steer", "--drivers", "+0", "--xf", "1,2,3"],
+        ["verify", "--drivers", "1" * 5000],  # beyond Python's int-string digit limit
+        ["steer", "--drivers", "1" * 5000, "--xf", "1,2,3"],
     ])
     def test_non_ascii_digit_driver_ids_exit_2(self, capsys, star_file, argv):
         assert main([argv[0], star_file, *argv[1:]]) == 2

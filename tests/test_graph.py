@@ -10,7 +10,6 @@ from netctl.graph import (
     BipartiteGraph,
     DirectedGraph,
     _scan_ids,
-    _scan_lines,
     compute_stats,
     parse_edge_list,
     parse_edge_list_report,
@@ -20,6 +19,7 @@ from netctl.graph import (
 )
 
 from .conftest import directed_graphs
+from .oracles import scan_lines_reference
 
 #: Pieces of edge-list text, valid and not, for the scanner-equivalence test.
 TEXT_PIECES = [
@@ -27,6 +27,14 @@ TEXT_PIECES = [
     "18446744073709551616", " ", "  ", "\t", "\n", "\n", "\n", "\r\n", "\r",
     "#", "# note", "x", "-1", "+3", "1_0", "\u0663", "\x0c", "\u2028", "\u00e9",
 ]
+
+
+def _scan_outcome(scan, data):
+    """The id arrays and dtypes a scan returns, or the error it raises."""
+    try:
+        return [(ids.tolist(), ids.dtype) for ids in scan(data)]
+    except EdgeListParseError as exc:
+        return type(exc), str(exc), exc.line
 
 
 class TestDirectedGraph:
@@ -140,23 +148,30 @@ class TestParse:
     @given(st.lists(st.sampled_from(TEXT_PIECES), max_size=30))
     def test_vectorised_and_line_scans_agree(self, pieces):
         text = "".join(pieces)
-        fast = _scan_ids(text.encode())
-        try:
-            expected = _scan_lines(text)
-        except EdgeListParseError:
-            assert fast is None
-            return
-        if fast is None:
-            # the one well-formed input left to the line scan: a long id
-            id_tokens = [
-                token
-                for line in text.split("\n")
-                if not line.strip(" \t\r").startswith("#")
-                for token in line.split()
-            ]
-            assert max(map(len, id_tokens)) > 18
-        else:
-            assert [a.tolist() for a in fast] == [a.tolist() for a in expected]
+        assert _scan_outcome(_scan_ids, text.encode()) == _scan_outcome(
+            scan_lines_reference, text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n2 2\n3 4 5\n", 2),                    # self-loop before three ids
+        ("0 1\n1 2 3\n4 x\n", 2),                    # three ids before a bad byte
+        ("0 1\n1 2 3 4\n5 6 7\n", 2),                # four ids: two pairs on one line
+        ("# a # b\n  # c\n0 1 2\n", 3),             # comments holding a second '#'
+        ("0 1\n2 3 # note", 2),                      # '#' after ids, no last newline
+        ("0 1\n2\r3 4\n", 2),                        # bare "\r" inside a line
+        ("# caf\u00e9 \u0663\n0 -1\n", 2),           # after a non-ASCII comment
+        ("x 1\n0 1\n", 1),                           # bad first line
+        ("0 1\n2 y\n18446744073709551616 3\n", 2),   # long id after a bad line
+        pytest.param("0 1\n2 y\n" + "1" * 5000 + " 3\n", 2, id="over-limit-id-after-bad-line"),
+    ])
+    def test_the_first_bad_line_is_named(self, text, line):
+        outcome = _scan_outcome(_scan_ids, text.encode())
+        assert outcome == _scan_outcome(scan_lines_reference, text)
+        assert outcome[2] == line
+
+    def test_an_id_over_the_digit_limit_names_its_line(self):
+        with pytest.raises(EdgeListParseError, match="id of 5000 digits") as err:
+            parse_edge_list("0 1\n" + "1" * 5000 + " 2\n3 3\n")
+        assert err.value.line == 2
 
     def test_duplicates_collapsed_and_counted(self):
         parsed = parse_edge_list_report("0 1\n0 1\n1 0")
