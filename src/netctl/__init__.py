@@ -28,7 +28,6 @@ from .generators import (
     generate_sf,
 )
 from .graph import (
-    BipartiteGraph,
     DirectedGraph,
     GraphStats,
     LineDigraph,
@@ -37,7 +36,6 @@ from .graph import (
     parse_edge_list,
     parse_edge_list_report,
     serialize_edge_list,
-    to_bipartite,
     to_line_digraph,
 )
 from .kalman import (
@@ -62,7 +60,6 @@ from .matching import (
 from .node_control import NodeControlAnalysis, analyze_node_control
 
 __all__ = [
-    "BipartiteGraph",
     "ContractViolationError",
     "DirectedGraph",
     "EdgeControlAnalysis",
@@ -105,7 +102,6 @@ __all__ = [
     "steer",
     "structural_rank_test",
     "system_from_graph",
-    "to_bipartite",
     "to_line_digraph",
     "verify_maximality",
 ]

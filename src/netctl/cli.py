@@ -198,14 +198,13 @@ def _sweep_task(task: tuple[str, int, float, float, int]) -> SweepRow:
 
 
 def _worker_count(task_count: int) -> int:
+    cap = os.cpu_count() or 1
     env = os.environ.get("NETCTL_THREADS")
     if env:
         try:
-            cap = int(env)
+            cap = min(cap, int(env))
         except ValueError:
             raise NetctlError(f"NETCTL_THREADS must be an integer, got {env!r}")
-    else:
-        cap = os.cpu_count() or 1
     return max(1, min(cap, task_count))
 
 

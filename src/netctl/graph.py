@@ -24,51 +24,6 @@ from .errors import EdgeListParseError, EmptyGraphError, SelfLoopError
 Edge = tuple[int, int]
 
 
-def _checked_csr(rows, cols, row_count: int, col_count: int, noun: str,
-                 loops_allowed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one validation of an edge list.
-
-    Returns read-only int64 copies of ``rows`` and ``cols`` sorted by
-    (row, col), and the CSR row pointer over them. Raises ValueError for
-    an endpoint out of range, a self-loop (unless ``loops_allowed``) or a
-    duplicate edge.
-    """
-    if row_count < 0 or col_count < 0:
-        raise ValueError("node counts must be non-negative")
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.array(cols, dtype=np.int64)
-    if rows.ndim != 1 or rows.shape != cols.shape:
-        raise ValueError(f"{noun} sources and targets must be 1-D arrays of one length")
-    bad = (rows < 0) | (rows >= row_count) | (cols < 0) | (cols >= col_count)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(
-            f"{noun} ({rows[i]}, {cols[i]}) out of range for "
-            f"{row_count} x {col_count} nodes"
-        )
-    if not loops_allowed:
-        loops = rows == cols
-        if loops.any():
-            raise ValueError(f"self-loop at node {rows[loops.argmax()]}")
-    keys = rows * col_count + cols
-    if not (keys[1:] > keys[:-1]).all():
-        order = np.argsort(keys, kind="stable")
-        rows, cols, keys = rows[order], cols[order], keys[order]
-        repeated = keys[1:] == keys[:-1]
-        if repeated.any():
-            i = int(repeated.argmax())
-            raise ValueError(f"duplicate {noun} ({rows[i]}, {cols[i]})")
-    indptr = np.zeros(row_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=row_count), out=indptr[1:])
-    for array in (rows, cols, indptr):
-        array.flags.writeable = False
-    return rows, cols, indptr
-
-
-def _pairs(edges: Iterable[Edge]) -> np.ndarray:
-    return np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-
-
 class DirectedGraph:
     """Simple digraph over dense integer node ids ``0 .. node_count-1``.
 
@@ -84,7 +39,7 @@ class DirectedGraph:
     __slots__ = ("node_count", "src", "dst", "indptr", "_edges")
 
     def __init__(self, node_count: int, edges: Iterable[Edge] = ()):
-        pairs = _pairs(edges)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         self._init(node_count, pairs[:, 0], pairs[:, 1])
 
     @classmethod
@@ -95,10 +50,37 @@ class DirectedGraph:
         return graph
 
     def _init(self, node_count, src, dst) -> None:
-        self.node_count = int(node_count)
-        self.src, self.dst, self.indptr = _checked_csr(
-            src, dst, self.node_count, self.node_count, "edge", loops_allowed=False
-        )
+        """The one validation of an edge list: keeps read-only int64
+        copies of ``src`` and ``dst`` sorted by (source, target) and the
+        CSR row pointer over them. Raises ValueError for an endpoint out
+        of range, a self-loop or a duplicate edge."""
+        n = self.node_count = int(node_count)
+        if n < 0:
+            raise ValueError("node counts must be non-negative")
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError("edge sources and targets must be 1-D arrays of one length")
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"edge ({src[i]}, {dst[i]}) out of range for {n} x {n} nodes")
+        loops = src == dst
+        if loops.any():
+            raise ValueError(f"self-loop at node {src[loops.argmax()]}")
+        keys = src * n + dst
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            src, dst, keys = src[order], dst[order], keys[order]
+            repeated = keys[1:] == keys[:-1]
+            if repeated.any():
+                i = int(repeated.argmax())
+                raise ValueError(f"duplicate edge ({src[i]}, {dst[i]})")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        for array in (src, dst, indptr):
+            array.flags.writeable = False
+        self.src, self.dst, self.indptr = src, dst, indptr
         self._edges = None
 
     @property
@@ -127,50 +109,6 @@ class DirectedGraph:
     def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node (out-degree, in-degree) int64 arrays."""
         return np.diff(self.indptr), np.bincount(self.dst, minlength=self.node_count)
-
-
-class BipartiteGraph:
-    """Bipartite graph with ``left_count`` + ``right_count`` nodes.
-
-    For graphs built by :func:`to_bipartite`, left node i is the out-copy
-    ("plus" copy) and right node i the in-copy ("minus" copy) of digraph
-    node i, so a bipartite edge (i, j) corresponds to the digraph edge
-    i -> j. Same layout as :class:`DirectedGraph`: sorted read-only
-    arrays ``left`` and ``right`` with the CSR row pointer ``indptr``
-    over left nodes. The matching functions also take a DirectedGraph
-    directly as its own plus/minus split.
-    """
-
-    __slots__ = ("left_count", "right_count", "left", "right", "indptr", "_edges")
-
-    def __init__(self, left_count: int, right_count: int, edges: Iterable[Edge] = ()):
-        pairs = _pairs(edges)
-        self.left_count, self.right_count = int(left_count), int(right_count)
-        self.left, self.right, self.indptr = _checked_csr(
-            pairs[:, 0], pairs[:, 1], self.left_count, self.right_count,
-            "bipartite edge", loops_allowed=True,
-        )
-        self._edges = None
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            self._edges = tuple(zip(self.left.tolist(), self.right.tolist()))
-        return self._edges
-
-    def __eq__(self, other):
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        return ((self.left_count, self.right_count) == (other.left_count, other.right_count)
-                and np.array_equal(self.left, other.left)
-                and np.array_equal(self.right, other.right))
-
-    def __hash__(self):
-        return hash((self.left_count, self.right_count,
-                     self.left.tobytes(), self.right.tobytes()))
-
-    def __repr__(self):
-        return f"BipartiteGraph({self.left_count}, {self.right_count}, {self.edges!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,8 +177,8 @@ class ParsedEdgeList:
 #: Ids of at most this many digits fit in int64 (10**18 - 1 < 2**63).
 _INT64_SAFE_DIGITS = 18
 
-#: A byte outside the grammar, or an "\r" that ends neither a line nor the input.
-_BAD_BYTE = re.compile(rb"[^0-9 \t\r\n]|\r(?!\n|\Z)")
+#: An "\r" that ends neither a line nor the input.
+_BARE_CR = re.compile(rb"\r(?!\n|\Z)")
 
 
 def max_id_digits() -> int:
@@ -284,9 +222,13 @@ def _scan_ids(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         data = _blank_comment_lines(data, newlines)
         buf = np.frombuffer(data, dtype=np.uint8)
     cut = None  # start of the line of the first byte outside the grammar
-    if (b"\r" in data and data.count(b"\r") != data.count(b"\r\n") + data.endswith(b"\r")
-            or data.translate(None, b"0123456789 \t\r\n")):
-        cut = data.rfind(b"\n", 0, _BAD_BYTE.search(data).start()) + 1
+    # translate keeps the byte order, so this is the first byte outside the grammar
+    first_bad = data.translate(None, b"0123456789 \t\r\n")[:1]
+    hits = [data.find(first_bad)] if first_bad else []
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n") + data.endswith(b"\r"):
+        hits.append(_BARE_CR.search(data).start())
+    if hits:
+        cut = data.rfind(b"\n", 0, min(hits)) + 1
         buf = buf[:cut]
     # every byte left is a digit or one of " \t\r\n", which sort below "0"
     bounds = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False, append=False))
@@ -319,19 +261,29 @@ def _scan_ids(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blank_comment_lines(data: bytes, newlines: np.ndarray) -> bytearray:
-    """``data`` with each comment line's text from its '#' on turned to
-    spaces, so that no byte moves, up to the first '#' after an id: the
-    scan stops at that line."""
-    hashes = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("#"))
+    """``data`` with each comment line's text from its first '#' on
+    turned to spaces, so that no byte moves. A line with anything but
+    spaces and tabs before its '#' keeps it: the scan stops there."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    hashes = np.flatnonzero(buf == ord("#"))
     line = np.searchsorted(newlines, hashes)
-    hashes, line = hashes[_first_of_runs(line)], line[_first_of_runs(line)]
+    first = _first_of_runs(line)
+    hashes, line = hashes[first], line[first]
     bounds = np.concatenate(([-1], newlines, [len(data)]))
+    starts, ends = bounds[line] + 1, bounds[line + 1]
+    indented = np.flatnonzero(hashes > starts)
+    if indented.size:
+        blank = (buf == ord(" ")) | (buf == ord("\t"))
+        spans = np.column_stack((starts[indented], hashes[indented])).ravel()
+        comment = np.ones(hashes.size, dtype=bool)
+        comment[indented] = np.logical_and.reduceat(blank, spans)[0::2]
+        hashes, ends = hashes[comment], ends[comment]
+    # +1 at each '#', -1 at its line's end: the running sum is 1 on the spans
+    inside = np.zeros(len(data) + 1, dtype=np.int8)
+    inside[hashes], inside[ends] = 1, -1
+    np.cumsum(inside, out=inside)
     blanked = bytearray(data)
-    for start, hash_at, end in zip((bounds[line] + 1).tolist(), hashes.tolist(),
-                                   bounds[line + 1].tolist()):
-        if data[start:hash_at].strip(b" \t"):
-            break
-        blanked[hash_at:end] = b" " * (end - hash_at)
+    np.frombuffer(blanked, dtype=np.uint8)[inside[:-1].view(bool)] = ord(" ")
     return blanked
 
 
@@ -399,10 +351,10 @@ def serialize_edge_list(g: DirectedGraph, header: str | None = None) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def to_bipartite(g: DirectedGraph) -> BipartiteGraph:
-    """Split every node into an out-copy (left) and in-copy (right); each
-    digraph edge i -> j becomes the bipartite edge (i, j)."""
-    return BipartiteGraph(g.node_count, g.node_count, g.edges)
+def to_bipartite(g: DirectedGraph) -> DirectedGraph:
+    """``g`` itself: the matching functions read a digraph as its own
+    plus/minus split. Kept only as the name bench/tracer.py wraps."""
+    return g
 
 
 def edge_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:

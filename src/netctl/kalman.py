@@ -31,6 +31,7 @@ from .graph import DirectedGraph
 
 WEIGHT_LOW = 0.5
 WEIGHT_HIGH = 1.5
+_EPS = float(np.finfo(float).eps)
 
 #: Gramians with condition number above this refuse to steer.
 MAX_GRAMIAN_CONDITION = 1e12
@@ -147,7 +148,7 @@ def system_from_graph(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (e,):
         raise ContractViolationError("need exactly one weight per edge")
-    if e and not np.all(weights != 0.0):
+    if e and not weights.all():
         raise ContractViolationError("edge weights must be nonzero")
 
     a = np.zeros((g.node_count, g.node_count))
@@ -182,7 +183,7 @@ def controllability_matrix(s: LtiSystem) -> np.ndarray:
 def matrix_rank(q: np.ndarray, tol: float | None = None) -> int:
     """Numerical rank: singular values above tol * s_max * max(dims)."""
     if tol is None:
-        tol = float(np.finfo(float).eps)
+        tol = _EPS
     if not 0.0 < tol < np.inf:
         raise ContractViolationError(f"tolerance must be positive and finite, got {tol}")
     if q.size == 0:
@@ -213,7 +214,7 @@ def structural_rank_test(
     if samples < 1:
         raise ContractViolationError("samples must be positive")
     if tol is None:
-        tol = float(np.finfo(float).eps)
+        tol = _EPS
     rng = np.random.default_rng(seed)
     n = g.node_count
     best = 0

@@ -13,9 +13,11 @@ DFS over the kept edges, from the left nodes free at phase start. An edge
 the sweep drops leads the DFS only into dead ends, so the matching is the
 one the DFS finds over the full edge lists.
 
-Every function takes a :class:`BipartiteGraph`, or a
-:class:`DirectedGraph` as its own plus/minus split (left node i is the
-out-copy and right node i the in-copy of node i).
+Every function takes a :class:`DirectedGraph` as its own plus/minus
+split: left node i is node i's out-copy, right node j is node j's
+in-copy, and each edge i -> j joins left i to right j. A bipartite
+graph on L left and R right nodes is the digraph on L + R nodes with an
+edge u -> L + v for each pair (u, v).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .graph import BipartiteGraph, DirectedGraph, edge_positions
+from .graph import DirectedGraph, edge_positions
 
 _UNSET = -1
 
@@ -39,13 +41,6 @@ class MatchingResult:
     match_left: np.ndarray
     match_right: np.ndarray
     size: int
-
-
-def _csr(b: BipartiteGraph | DirectedGraph) -> tuple:
-    """(left count, right count, row pointer, left ends, right ends of the edges)."""
-    if isinstance(b, DirectedGraph):
-        return b.node_count, b.node_count, b.indptr, b.src, b.dst
-    return b.left_count, b.right_count, b.indptr, b.left, b.right
 
 
 def _bfs_layers(indptr, right, match_left, match_right) -> tuple:
@@ -126,25 +121,25 @@ def _augment(root, targets, ptr, end, match_left, match_right, dist, free_dist) 
         u = match_right[found]
 
 
-def maximum_matching(b: BipartiteGraph | DirectedGraph) -> MatchingResult:
-    """Compute a canonical maximum matching of ``b``.
+def maximum_matching(g: DirectedGraph) -> MatchingResult:
+    """Compute a canonical maximum matching of ``g``.
 
     Hopcroft-Karp, O(E * sqrt(V)). Deterministic given the edge set (see
     module docstring); the returned matching is one of possibly many
     maximum matchings.
     """
-    left_count, right_count, indptr, lefts, right = _csr(b)
-    match_left = np.full(left_count, _UNSET, dtype=np.int64)
-    match_right = np.full(right_count, _UNSET, dtype=np.int64)
+    n = g.node_count
+    match_left = np.full(n, _UNSET, dtype=np.int64)
+    match_right = np.full(n, _UNSET, dtype=np.int64)
     while True:
-        dist, free_dist, steps, into_free = _bfs_layers(indptr, right, match_left, match_right)
+        dist, free_dist, steps, into_free = _bfs_layers(g.indptr, g.dst, match_left, match_right)
         if free_dist == _UNSET:
             break
-        keep, alive = _live_edges(lefts, left_count, steps, into_free)
-        bounds = np.zeros(left_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(lefts[keep], minlength=left_count), out=bounds[1:])
+        keep, alive = _live_edges(g.src, n, steps, into_free)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(g.src[keep], minlength=n), out=bounds[1:])
         roots = np.flatnonzero((match_left == _UNSET) & alive).tolist()
-        targets, ptr, end = right[keep].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()
+        targets, ptr, end = g.dst[keep].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()
         ml, mr, dl = match_left.tolist(), match_right.tolist(), dist.tolist()
         found = [_augment(u, targets, ptr, end, ml, mr, dl, free_dist) for u in roots]
         if not any(found):  # the BFS saw a path, so a sound sweep keeps one
@@ -156,14 +151,13 @@ def maximum_matching(b: BipartiteGraph | DirectedGraph) -> MatchingResult:
     return MatchingResult(match_left, match_right, int(np.count_nonzero(match_left != _UNSET)))
 
 
-def _validate_matching(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> None:
-    left_count, right_count, _, lefts, right = _csr(b)
+def _validate_matching(g: DirectedGraph, m: MatchingResult) -> None:
     match_left, match_right = m.match_left, m.match_right
-    if match_left.shape != (left_count,) or match_right.shape != (right_count,):
+    if match_left.shape != (g.node_count,) or match_right.shape != (g.node_count,):
         raise ContractViolationError("mate arrays do not fit the graph's node counts")
     # a matched left node must find its mate among the right ends of its edges
-    on_edge = np.zeros(left_count, dtype=bool)
-    on_edge[lefts[match_left[lefts] == right]] = True
+    on_edge = np.zeros(g.node_count, dtype=bool)
+    on_edge[g.src[match_left[g.src] == g.dst]] = True
     stray = (match_left != _UNSET) & ~on_edge
     if stray.any():
         u = int(stray.argmax())
@@ -178,23 +172,21 @@ def _validate_matching(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> 
         raise ContractViolationError("size does not match the mate arrays")
 
 
-def verify_maximality(b: BipartiteGraph | DirectedGraph, m: MatchingResult) -> bool:
+def verify_maximality(g: DirectedGraph, m: MatchingResult) -> bool:
     """Certificate check: true iff no augmenting path exists for ``m``,
     i.e. the Hopcroft-Karp BFS from its free left nodes reaches no free
     right node.
 
     Raises ContractViolationError when ``m`` is not a valid matching
-    on ``b``.
+    on ``g``.
     """
-    _validate_matching(b, m)
-    _, _, indptr, _, right = _csr(b)
-    return _bfs_layers(indptr, right, m.match_left, m.match_right)[1] == _UNSET
+    _validate_matching(g, m)
+    return _bfs_layers(g.indptr, g.dst, m.match_left, m.match_right)[1] == _UNSET
 
 
-def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,
-                                   m: MatchingResult) -> bool:
+def has_alternate_maximum_matching(g: DirectedGraph, m: MatchingResult) -> bool:
     """True iff a maximum matching different from ``m`` exists; ``m``
-    must be a maximum matching of ``b``.
+    must be a maximum matching of ``g``.
 
     One O(V + E) pass. Another maximum matching exists iff (a) some node
     ``m`` leaves unmatched has an edge: its other end is matched, since
@@ -205,17 +197,16 @@ def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,
     expression over the edge arrays; the cycle search runs only when it
     fails.
     """
-    left_count, _, _, lefts, right = _csr(b)
-    match_left, match_right = m.match_left, m.match_right
-    heads = match_right[right]
-    if ((match_left[lefts] == _UNSET) | (heads == _UNSET)).any():
+    n, match_left = g.node_count, m.match_left
+    heads = m.match_right[g.dst]
+    if ((match_left[g.src] == _UNSET) | (heads == _UNSET)).any():
         return True
-    arc = heads != lefts
-    tails, heads = lefts[arc], heads[arc]
-    bounds = np.searchsorted(tails, np.arange(left_count + 1)).tolist()
+    arc = heads != g.src
+    tails, heads = g.src[arc], heads[arc]
+    bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
     heads_list = heads.tolist()
     # Kahn's algorithm: a cycle is what remains after peeling sources.
-    in_degree = np.bincount(heads, minlength=left_count).tolist()
+    in_degree = np.bincount(heads, minlength=n).tolist()
     ready = [u for u, d in enumerate(in_degree) if d == 0]
     peeled = 0
     while ready:
@@ -225,4 +216,4 @@ def has_alternate_maximum_matching(b: BipartiteGraph | DirectedGraph,
             in_degree[w] -= 1
             if in_degree[w] == 0:
                 ready.append(w)
-    return peeled < left_count
+    return peeled < n

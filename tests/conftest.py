@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from netctl.graph import BipartiteGraph, DirectedGraph
+from netctl.graph import DirectedGraph
 
 settings.register_profile(
     "suite",
@@ -30,11 +30,14 @@ def directed_graphs(
 
 @st.composite
 def bipartite_graphs(draw, max_left: int = 12, max_right: int = 12):
+    """A bipartite graph on L left and R right nodes, as the matching
+    functions take it: the digraph on L + R nodes with an edge u -> L + v
+    for each pair (u, v)."""
     left = draw(st.integers(0, max_left))
     right = draw(st.integers(0, max_right))
-    pairs = [(l, r) for l in range(left) for r in range(right)]
+    pairs = [(l, left + r) for l in range(left) for r in range(right)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return BipartiteGraph(left, right, tuple(sorted(edges)))
+    return DirectedGraph(left + right, tuple(sorted(edges)))
 
 
 @pytest.fixture

@@ -24,19 +24,20 @@ import numpy as np
 
 from netctl.edge_control import EdgeControlAnalysis
 from netctl.errors import EdgeListParseError, SelfLoopError
-from netctl.graph import BipartiteGraph, DirectedGraph, to_bipartite, to_line_digraph
+from netctl.graph import DirectedGraph, to_line_digraph
 from netctl.kalman import LtiSystem
 from netctl.matching import MatchingResult
 
 _UNSET = -1
 
 
-def max_matching_size_brute(left_count: int, right_count: int, edges) -> int:
-    """Maximum bipartite matching size by exhaustive DP (right <= ~14)."""
+def max_matching_size_brute(g: DirectedGraph) -> int:
+    """Maximum matching size of ``g``'s plus/minus split by exhaustive DP
+    (fine up to ~14 right nodes with in-edges)."""
+    left_count = g.node_count
     adj = [[] for _ in range(left_count)]
-    for left, right in edges:
-        if right not in adj[left]:
-            adj[left].append(right)
+    for left, right in g.edges:
+        adj[left].append(right)
 
     @lru_cache(maxsize=None)
     def best(i: int, used: int) -> int:
@@ -90,9 +91,9 @@ def controllability_matrix_reference(s: LtiSystem) -> np.ndarray:
     return q
 
 
-def _sorted_adjacency(b: BipartiteGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(b.left_count)]
-    for left, right in b.edges:
+def _sorted_adjacency(g: DirectedGraph) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.node_count)]
+    for left, right in g.edges:
         adj[left].append(right)
     for lst in adj:
         lst.sort()
@@ -158,20 +159,21 @@ def _augment(root, adj, match_left, match_right, dist, ptr, free_dist) -> bool:
         u = match_right[found]
 
 
-def maximum_matching_reference(b: BipartiteGraph) -> MatchingResult:
-    """Canonical Hopcroft-Karp over Python adjacency lists: queue BFS
-    layering and ascending-order DFS over the full edge lists."""
-    adj = _sorted_adjacency(b)
-    match_left = [_UNSET] * b.left_count
-    match_right = [_UNSET] * b.right_count
-    dist = [_UNSET] * b.left_count
+def maximum_matching_reference(g: DirectedGraph) -> MatchingResult:
+    """Canonical Hopcroft-Karp over Python adjacency lists, on ``g`` as
+    its own plus/minus split: queue BFS layering and ascending-order DFS
+    over the full edge lists."""
+    adj = _sorted_adjacency(g)
+    match_left = [_UNSET] * g.node_count
+    match_right = [_UNSET] * g.node_count
+    dist = [_UNSET] * g.node_count
     size = 0
     while True:
         free_dist = _bfs_layers(adj, match_left, match_right, dist)
         if free_dist == _UNSET:
             break
-        ptr = [0] * b.left_count
-        for u in range(b.left_count):
+        ptr = [0] * g.node_count
+        for u in range(g.node_count):
             if match_left[u] == _UNSET:
                 if _augment(u, adj, match_left, match_right, dist, ptr, free_dist):
                     size += 1
@@ -182,13 +184,13 @@ def maximum_matching_reference(b: BipartiteGraph) -> MatchingResult:
     )
 
 
-def bfs_layers_reference(b: BipartiteGraph, m: MatchingResult) -> tuple[np.ndarray, int]:
+def bfs_layers_reference(g: DirectedGraph, m: MatchingResult) -> tuple[np.ndarray, int]:
     """Queue-BFS distances of the left nodes from the free ones along
     alternating paths, -1 from the layer that first reaches a free right
     node on, and that layer's distance (-1 when no augmenting path
     exists)."""
-    dist = [_UNSET] * b.left_count
-    adj = _sorted_adjacency(b)
+    dist = [_UNSET] * g.node_count
+    adj = _sorted_adjacency(g)
     free_dist = _bfs_layers(adj, m.match_left.tolist(), m.match_right.tolist(), dist)
     dist = np.array(dist, dtype=np.int64)
     if free_dist != _UNSET:
@@ -228,16 +230,14 @@ def layered_edges_reference(lefts, right, dist, free_dist, match_right) -> tuple
     return into_free | step, alive
 
 
-def has_alternate_maximum_matching_reference(b: BipartiteGraph, m: MatchingResult) -> bool:
+def has_alternate_maximum_matching_reference(g: DirectedGraph, m: MatchingResult) -> bool:
     """A distinct maximum matching must avoid at least one pair of ``m``,
     so it exists iff dropping some matched edge leaves the maximum size
     unchanged: one re-solve per matched pair."""
     pairs = [(u, v) for u, v in enumerate(m.match_left.tolist()) if v != _UNSET]
     for pair in pairs:
-        reduced = tuple(e for e in b.edges if e != pair)
-        if maximum_matching_reference(
-            BipartiteGraph(b.left_count, b.right_count, reduced)
-        ).size == m.size:
+        reduced = tuple(e for e in g.edges if e != pair)
+        if maximum_matching_reference(DirectedGraph(g.node_count, reduced)).size == m.size:
             return True
     return False
 
@@ -254,8 +254,7 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
             np.empty((0, 2), dtype=np.int64), 0.0, np.empty(0, dtype=np.int64), 0.0, 0, False
         )
     ld = to_line_digraph(g)
-    b = to_bipartite(ld.graph)
-    m = maximum_matching_reference(b)
+    m = maximum_matching_reference(ld.graph)
     unmatched = [v for v, u in enumerate(m.match_right.tolist()) if u == _UNSET] or [0]
     driver_edges = sorted(ld.edge_of_node[unmatched].tolist())
     driver_nodes = sorted({src for src, _ in driver_edges})
@@ -265,7 +264,7 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
         driver_nodes=np.array(driver_nodes, dtype=np.int64),
         n_d=len(driver_nodes) / g.node_count,
         line_matching_size=m.size,
-        alternate_matchings=has_alternate_maximum_matching_reference(b, m),
+        alternate_matchings=has_alternate_maximum_matching_reference(ld.graph, m),
     )
 
 

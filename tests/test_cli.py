@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import netctl
 from netctl import cli
-from netctl.cli import _json, _load, analysis_report, main
-from netctl.graph import DirectedGraph, parse_edge_list, to_bipartite
+from netctl.cli import _json, _load, _worker_count, analysis_report, main
+from netctl.graph import DirectedGraph, parse_edge_list
 from netctl.matching import has_alternate_maximum_matching, maximum_matching
 
 from .conftest import directed_graphs
@@ -405,9 +405,7 @@ class TestGenerate:
         flag = report["node_control"]["alternate_matchings"]
         assert isinstance(flag, bool)
         g = parse_edge_list(out.read_text())
-        assert flag is has_alternate_maximum_matching_reference(
-            to_bipartite(g), maximum_matching(g)
-        )
+        assert flag is has_alternate_maximum_matching_reference(g, maximum_matching(g))
 
     def test_infeasible_spec_exits_2(self, capsys):
         assert main(["generate", "--model", "er", "--n", "5", "--k", "5"]) == 2
@@ -494,6 +492,15 @@ class TestSweep:
             "--k-steps", "2", "--out", str(tmp_path / "s.csv"),
         ])
         assert code == 2
+
+    def test_thread_env_is_capped_at_the_cpu_count(self, monkeypatch):
+        # no pool starts: the count is read, never used
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setenv("NETCTL_THREADS", "5000")
+        assert _worker_count(10**6) == 3
+        assert _worker_count(2) == 2
+        monkeypatch.setenv("NETCTL_THREADS", "0")
+        assert _worker_count(10**6) == 1
 
     def test_scale_free_needs_more_drivers_than_uniform(self, tmp_path):
         # hubs concentrate out-edges, which costs node controllability

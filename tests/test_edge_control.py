@@ -93,7 +93,7 @@ def test_count_formula(g):
     a = analyze_edge_control(g)
     e = g.edge_count
     ld = to_line_digraph(g)
-    lms = max_matching_size_brute(e, e, ld.graph.edges)
+    lms = max_matching_size_brute(ld.graph)
     assert a.line_matching_size == lms
     if e == 0:
         assert len(a.driver_edges) == 0

@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netctl.errors import EdgeListParseError, EmptyGraphError, SelfLoopError
 from netctl.graph import (
-    BipartiteGraph,
     DirectedGraph,
     _scan_ids,
     compute_stats,
@@ -17,6 +16,7 @@ from netctl.graph import (
     to_bipartite,
     to_line_digraph,
 )
+from netctl.matching import maximum_matching
 
 from .conftest import directed_graphs
 from .oracles import scan_lines_reference
@@ -146,6 +146,11 @@ class TestParse:
 
     @settings(max_examples=400)
     @given(st.lists(st.sampled_from(TEXT_PIECES), max_size=30))
+    @example(["  # c\n", "\t# c\n", " \t # c # d\n", "0 1\n"])  # indented comments
+    @example(["0 1\n", "2 3 # c\n", "# d\n", "  # e\n", "4 5\n"])  # '#' after an id
+    @example(["x # c\n", "# d\r\n", "0 1\n"])  # '#' after a bad byte
+    @example(["# c\r\n", "0 1\r\n", "  # d\r\n", "2 3 # e\r\n"])  # CRLF comment lines
+    @example(["\r# c\n", "0 1\n"])  # a bare "\r" before a '#'
     def test_vectorised_and_line_scans_agree(self, pieces):
         text = "".join(pieces)
         assert _scan_outcome(_scan_ids, text.encode()) == _scan_outcome(
@@ -202,27 +207,30 @@ class TestParse:
 
 
 class TestBipartite:
+    """The matching functions read a digraph as its own plus/minus split,
+    and a bipartite (L, R) graph is the digraph on L + R nodes."""
+
     def test_star_split(self, star):
-        b = to_bipartite(star)
-        assert (b.left_count, b.right_count) == (3, 3)
-        assert set(b.edges) == {(0, 1), (0, 2)}
+        assert to_bipartite(star) is star
+        assert maximum_matching(star).match_left.tolist() == [1, -1, -1]
 
     def test_empty_graph_split(self):
-        b = to_bipartite(DirectedGraph(4, ()))
-        assert (b.left_count, b.right_count) == (4, 4)
-        assert b.edges == ()
+        m = maximum_matching(DirectedGraph(4, ()))
+        assert m.match_left.tolist() == m.match_right.tolist() == [-1] * 4
 
     def test_cycle_split(self, three_cycle):
-        b = to_bipartite(three_cycle)
-        assert set(b.edges) == {(0, 1), (1, 2), (2, 0)}
+        m = maximum_matching(three_cycle)
+        assert m.match_left.tolist() == [1, 2, 0]
+        assert m.match_right.tolist() == [2, 0, 1]
 
     def test_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph(1, 1, ((0, 1),))
+        # the pair (0, 1) of a bipartite (1, 1) graph: right 1 is node 1 + 1
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for 2 x 2 nodes"):
+            DirectedGraph(2, ((0, 2),))
 
     @given(directed_graphs())
     def test_split_is_identity_on_edges(self, g):
-        assert set(to_bipartite(g).edges) == set(g.edges)
+        assert to_bipartite(g) is g
 
 
 class TestLineDigraph:

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from netctl.errors import ContractViolationError
 from netctl.generators import GeneratorSpec, generate
-from netctl.graph import BipartiteGraph, to_bipartite, to_line_digraph
+from netctl.graph import DirectedGraph, to_line_digraph
 from netctl.matching import (
     MatchingResult,
     _bfs_layers,
-    _csr,
     _live_edges,
     has_alternate_maximum_matching,
     maximum_matching,
@@ -28,11 +27,11 @@ from .oracles import (
 )
 
 
-def result_from_pairs(b: BipartiteGraph, pairs) -> MatchingResult:
+def result_from_pairs(g: DirectedGraph, pairs) -> MatchingResult:
     """Mate arrays holding ``pairs``; when two pairs share an end, the
     later one wins that end's slot, so the arrays disagree."""
-    match_left = np.full(b.left_count, -1, dtype=np.int64)
-    match_right = np.full(b.right_count, -1, dtype=np.int64)
+    match_left = np.full(g.node_count, -1, dtype=np.int64)
+    match_right = np.full(g.node_count, -1, dtype=np.int64)
     for left, right in pairs:
         match_left[left] = right
         match_right[right] = left
@@ -55,13 +54,13 @@ def unmatched_right(m: MatchingResult) -> set[int]:
 
 class TestMaximumMatching:
     def test_star(self, star):
-        m = maximum_matching(to_bipartite(star))
+        m = maximum_matching(star)
         assert m.size == 1
         assert 0 in unmatched_right(m)
         assert len(unmatched_right(m) & {1, 2}) == 1
 
     def test_cycle_is_perfectly_matched(self, three_cycle):
-        m = maximum_matching(to_bipartite(three_cycle))
+        m = maximum_matching(three_cycle)
         assert m.size == 3
         assert unmatched_right(m) == set()
 
@@ -69,29 +68,29 @@ class TestMaximumMatching:
         # independently verified by exhaustive enumeration over the
         # 4-node edge-space graph: every maximum matching has size 2
         ld = to_line_digraph(reciprocal_chain)
-        m = maximum_matching(to_bipartite(ld.graph))
+        m = maximum_matching(ld.graph)
         assert m.size == 2
 
     def test_deterministic_canonical_result(self, star):
-        b = to_bipartite(star)
+        b = star
         assert mates_of(maximum_matching(b)) == mates_of(maximum_matching(b))
         # ascending-id exploration matches left 0 to right 1 first
         assert pairs_of(maximum_matching(b)) == frozenset({(0, 1)})
 
     def test_empty_graph(self):
-        m = maximum_matching(BipartiteGraph(0, 0, ()))
+        m = maximum_matching(DirectedGraph(0, ()))
         assert m.size == 0 and pairs_of(m) == frozenset()
 
     @given(bipartite_graphs())
     def test_size_matches_brute_force(self, b):
-        expected = max_matching_size_brute(b.left_count, b.right_count, b.edges)
+        expected = max_matching_size_brute(b)
         assert maximum_matching(b).size == expected
 
     @given(bipartite_graphs(max_left=7, max_right=7), st.randoms(use_true_random=False))
     def test_size_invariant_under_edge_permutation(self, b, rnd):
         edges = list(b.edges)
         rnd.shuffle(edges)
-        permuted = BipartiteGraph(b.left_count, b.right_count, tuple(edges))
+        permuted = DirectedGraph(b.node_count, tuple(edges))
         assert maximum_matching(permuted).size == maximum_matching(b).size
 
     @given(bipartite_graphs())
@@ -106,8 +105,8 @@ class TestMaximumMatching:
         # the right mates are the same pairs read from the other side
         assert {(l, r) for r, l in enumerate(m.match_right.tolist()) if l != -1} == pairs
         assert m.size == len(pairs)
-        for mates, count in ((m.match_left, b.left_count), (m.match_right, b.right_count)):
-            assert mates.dtype == np.int64 and mates.shape == (count,)
+        for mates in (m.match_left, m.match_right):
+            assert mates.dtype == np.int64 and mates.shape == (b.node_count,)
             assert not mates.flags.writeable
 
 
@@ -117,12 +116,12 @@ class TestMaximumMatching:
 
     @given(directed_graphs(max_nodes=12))
     def test_digraph_is_its_own_split(self, g):
-        reference = maximum_matching_reference(to_bipartite(g))
+        reference = maximum_matching_reference(g)
         assert mates_of(maximum_matching(g)) == mates_of(reference)
 
     def test_edgeless_and_isolated_nodes(self):
-        for b in (BipartiteGraph(5, 0, ()), BipartiteGraph(0, 4, ()),
-                  BipartiteGraph(4, 6, ((3, 5),))):
+        # bipartite (5, 0), (0, 4) and (4, 6) graphs on L + R nodes
+        for b in (DirectedGraph(5, ()), DirectedGraph(4, ()), DirectedGraph(10, ((3, 9),))):
             assert mates_of(maximum_matching(b)) == mates_of(maximum_matching_reference(b))
 
     @pytest.mark.parametrize("model, n, k, seed", [
@@ -132,7 +131,7 @@ class TestMaximumMatching:
     ])
     def test_same_pairs_as_reference_on_generated_graphs(self, model, n, k, seed):
         g = generate(GeneratorSpec(model=model, n=n, mean_degree=k, gamma=2.5, seed=seed))
-        reference = maximum_matching_reference(to_bipartite(g))
+        reference = maximum_matching_reference(g)
         assert mates_of(maximum_matching(g)) == mates_of(reference)
 
 
@@ -151,16 +150,16 @@ class TestLayeredGraph:
                 lefts_used.add(left)
                 rights_used.add(right)
         m = result_from_pairs(b, pairs)
-        left_count, _, indptr, lefts, right = _csr(b)
-        dist, free_dist, steps, into_free = _bfs_layers(indptr, right, m.match_left, m.match_right)
+        dist, free_dist, steps, into_free = _bfs_layers(b.indptr, b.dst, m.match_left,
+                                                        m.match_right)
         ref_dist, ref_free_dist = bfs_layers_reference(b, m)
         assert free_dist == ref_free_dist
         assert np.array_equal(dist, ref_dist)
         if free_dist == -1:
             assert m.size == maximum_matching_reference(b).size
             return
-        keep, alive = _live_edges(lefts, left_count, steps, into_free)
-        ref_keep, ref_alive = layered_edges_reference(lefts, right, ref_dist, free_dist,
+        keep, alive = _live_edges(b.src, b.node_count, steps, into_free)
+        ref_keep, ref_alive = layered_edges_reference(b.src, b.dst, ref_dist, free_dist,
                                                       m.match_right)
         assert np.array_equal(keep, ref_keep)
         assert np.array_equal(alive, ref_alive)
@@ -175,48 +174,49 @@ class TestLayeredGraph:
     @settings(max_examples=300)
     @given(directed_graphs(max_nodes=12), st.data())
     def test_digraph_splits(self, g, data):
-        self.check_against_reference(to_bipartite(g), data)
+        self.check_against_reference(g, data)
 
     def test_dead_branch_is_dropped(self):
         # free left 0 reaches matched left 1, whose only edge is its own
-        # pair; free left 2 reaches matched left 3, which has a free right
-        b = BipartiteGraph(4, 3, ((0, 0), (1, 0), (2, 1), (3, 1), (3, 2)))
-        m = result_from_pairs(b, [(1, 0), (3, 1)])
-        left_count, _, indptr, lefts, right = _csr(b)
-        dist, free_dist, steps, into_free = _bfs_layers(indptr, right, m.match_left, m.match_right)
-        assert dist.tolist() == [0, 1, 0, 1] and free_dist == 2
-        keep, alive = _live_edges(lefts, left_count, steps, into_free)
+        # pair; free left 2 reaches matched left 3, which has a free right.
+        # Rights 0-2 are nodes 4-6, free lefts without edges.
+        b = DirectedGraph(7, ((0, 4), (1, 4), (2, 5), (3, 5), (3, 6)))
+        m = result_from_pairs(b, [(1, 4), (3, 5)])
+        dist, free_dist, steps, into_free = _bfs_layers(b.indptr, b.dst, m.match_left,
+                                                        m.match_right)
+        assert dist.tolist() == [0, 1, 0, 1, 0, 0, 0] and free_dist == 2
+        keep, alive = _live_edges(b.src, b.node_count, steps, into_free)
         assert keep.tolist() == [False, False, True, False, True]
-        assert alive.tolist() == [False, False, True, True]
+        assert alive.tolist() == [False, False, True, True, False, False, False]
 
 
 class TestVerifyMaximality:
     def test_star_canonical_matching_is_maximal(self, star):
         # the only competing matching {(0, 2)} also has size 1
-        b = to_bipartite(star)
+        b = star
         assert verify_maximality(b, result_from_pairs(b, {(0, 1)})) is True
 
     def test_star_empty_matching_is_not_maximal(self, star):
-        b = to_bipartite(star)
+        b = star
         assert verify_maximality(b, result_from_pairs(b, set())) is False
 
     def test_perfect_matching_is_maximal(self, three_cycle):
-        b = to_bipartite(three_cycle)
+        b = three_cycle
         pairs = {(0, 1), (1, 2), (2, 0)}
         assert verify_maximality(b, result_from_pairs(b, pairs)) is True
 
     def test_rejects_non_matching(self, star):
-        b = to_bipartite(star)
+        b = star
         with pytest.raises(ContractViolationError):
             verify_maximality(b, result_from_pairs(b, {(0, 1), (0, 2)}))
 
     def test_rejects_pair_that_is_not_an_edge(self, star):
-        b = to_bipartite(star)
+        b = star
         with pytest.raises(ContractViolationError):
             verify_maximality(b, result_from_pairs(b, {(1, 0)}))
 
     def test_rejects_inconsistent_bookkeeping(self, star):
-        b = to_bipartite(star)
+        b = star
         m = result_from_pairs(b, {(0, 1)})
         broken = MatchingResult(m.match_left, m.match_right, size=7)
         with pytest.raises(ContractViolationError):
@@ -232,9 +232,9 @@ class TestVerifyMaximality:
         left = data.draw(st.sampled_from(np.flatnonzero(m.match_left != -1).tolist()))
         right = int(m.match_left[left])
         match_left, match_right = m.match_left.copy(), m.match_right.copy()
-        strangers = sorted(set(range(b.right_count)) - {r for l, r in b.edges if l == left})
+        strangers = sorted(set(range(b.node_count)) - {r for l, r in b.edges if l == left})
         kinds = ["left only", "right only"]
-        if b.left_count > 1:
+        if b.node_count > 1:
             kinds.append("other left")
         if strangers:
             kinds.append("non-neighbour")
@@ -245,7 +245,7 @@ class TestVerifyMaximality:
             match_left[left] = -1
         elif how == "other left":
             match_right[right] = data.draw(st.sampled_from(
-                [u for u in range(b.left_count) if u != left]))
+                [u for u in range(b.node_count) if u != left]))
         else:
             stranger = data.draw(st.sampled_from(strangers))
             match_left[left], match_right[right] = stranger, -1
@@ -268,15 +268,15 @@ class TestVerifyMaximality:
 
 class TestAlternateMatchings:
     def test_star_has_alternates(self, star):
-        b = to_bipartite(star)
+        b = star
         assert has_alternate_maximum_matching(b, maximum_matching(b)) is True
 
     def test_cycle_matching_is_unique(self, three_cycle):
-        b = to_bipartite(three_cycle)
+        b = three_cycle
         assert has_alternate_maximum_matching(b, maximum_matching(b)) is False
 
     def test_single_edge_is_unique(self):
-        b = BipartiteGraph(2, 2, ((0, 1),))
+        b = DirectedGraph(4, ((0, 3),))  # bipartite (2, 2): left 0 to right 1
         assert has_alternate_maximum_matching(b, maximum_matching(b)) is False
 
     @given(bipartite_graphs(max_left=7, max_right=7))
@@ -288,13 +288,14 @@ class TestAlternateMatchings:
     @given(directed_graphs(max_nodes=9))
     def test_same_answer_on_digraph_splits(self, g):
         m = maximum_matching(g)
-        expected = has_alternate_maximum_matching_reference(to_bipartite(g), m)
+        expected = has_alternate_maximum_matching_reference(g, m)
         assert has_alternate_maximum_matching(g, m) is expected
 
     def test_alternating_cycle_without_free_nodes(self):
-        # K(2, 2) is perfectly matched, so no node is free; the other
-        # perfect matching lies along the alternating 4-cycle
-        b = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+        # K(2, 2), rights 0 and 1 as nodes 2 and 3, is perfectly matched,
+        # so no node with an edge is free; the other perfect matching
+        # lies along the alternating 4-cycle
+        b = DirectedGraph(4, ((0, 2), (0, 3), (1, 2), (1, 3)))
         m = maximum_matching(b)
         assert m.size == 2
         assert has_alternate_maximum_matching(b, m) is True

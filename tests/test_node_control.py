@@ -8,7 +8,7 @@ import numpy as np
 
 from netctl.errors import EmptyGraphError
 from netctl.generators import GeneratorSpec, generate
-from netctl.graph import DirectedGraph, to_bipartite
+from netctl.graph import DirectedGraph
 from netctl.kalman import structural_rank_test
 from netctl.matching import maximum_matching
 from netctl.node_control import analyze_node_control
@@ -67,7 +67,7 @@ def test_known_theorem_limit_is_reported_as_counted():
 @given(directed_graphs())
 def test_count_formula_and_fraction(g):
     a = analyze_node_control(g)
-    matching = max_matching_size_brute(g.node_count, g.node_count, g.edges)
+    matching = max_matching_size_brute(g)
     assert a.matching_size == matching
     assert len(a.driver_nodes) == max(g.node_count - matching, 1)
     assert a.n_d == len(a.driver_nodes) / g.node_count
@@ -102,7 +102,7 @@ def test_driver_nodes_are_unmatched_right_nodes(g):
     from netctl.matching import maximum_matching
 
     a = analyze_node_control(g)
-    m = maximum_matching(to_bipartite(g))
+    m = maximum_matching(g)
     unmatched = [v for v, u in enumerate(m.match_right.tolist()) if u == -1]
     if unmatched:
         assert a.driver_nodes.tolist() == unmatched
@@ -111,7 +111,7 @@ def test_driver_nodes_are_unmatched_right_nodes(g):
 
 
 def reference_flag(g: DirectedGraph) -> bool:
-    return has_alternate_maximum_matching_reference(to_bipartite(g), maximum_matching(g))
+    return has_alternate_maximum_matching_reference(g, maximum_matching(g))
 
 
 @pytest.mark.parametrize("model, n, k, gamma, seed", [
