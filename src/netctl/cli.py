@@ -21,7 +21,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+# Every dense matrix here is at most 25 x 25, where extra BLAS threads only
+# spin; set before numpy (and scipy) load, and a caller's value still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .edge_control import analyze_edge_control

@@ -73,11 +73,12 @@ class LtiSystem:
             raise ContractViolationError("input matrix rows must match state size")
         if b.shape[1] < 1:
             raise ContractViolationError("at least one input column is required")
-        for j in range(b.shape[1]):
-            if np.count_nonzero(b[:, j]) != 1:
-                raise ContractViolationError(
-                    f"input column {j} must have exactly one nonzero entry"
-                )
+        # one nonzero per column iff the nonzeros' columns, in order, are 0..m-1
+        if b.T.nonzero()[0].tolist() != list(range(b.shape[1])):
+            j = np.flatnonzero(np.count_nonzero(b, axis=0) != 1)[0]
+            raise ContractViolationError(
+                f"input column {j} must have exactly one nonzero entry"
+            )
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -148,7 +149,7 @@ def system_from_graph(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (e,):
         raise ContractViolationError("need exactly one weight per edge")
-    if e and not weights.all():
+    if np.count_nonzero(weights) != e:
         raise ContractViolationError("edge weights must be nonzero")
 
     a = np.zeros((g.node_count, g.node_count))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -13,6 +15,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+#: for the cases that need an id over Python's int-string digit limit
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int-string digit limit",
+)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from netctl.cli import _json, _load, _worker_count, analysis_report, main
 from netctl.graph import DirectedGraph, parse_edge_list
 from netctl.matching import has_alternate_maximum_matching, maximum_matching
 
-from .conftest import directed_graphs
+from .conftest import directed_graphs, needs_digit_limit
 from .oracles import (
     analysis_json_reference,
     edge_control_via_line_digraph,
@@ -134,7 +134,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("content", [
         b"0 1\n1_0 2\n", b"0 1\n+3 4\n", "0 1\n\u0663 4\n".encode(),
         b"0 1\n2 \xff3\n",
-        pytest.param(b"0 1\n" + b"1" * 5000 + b" 2\n", id="id-over-the-digit-limit"),
+        pytest.param(b"0 1\n" + b"1" * 5000 + b" 2\n", id="id-over-the-digit-limit",
+                     marks=needs_digit_limit),
     ])
     def test_non_ascii_digit_ids_and_bad_utf8_exit_2_with_line(
             self, capsys, tmp_path, content):
@@ -565,8 +566,10 @@ class TestVerify:
         ["verify", "--mode", "edge", "--drivers", "+0-1"],
         ["verify", "--drivers", "1_0"],
         ["steer", "--drivers", "+0", "--xf", "1,2,3"],
-        ["verify", "--drivers", "1" * 5000],  # beyond Python's int-string digit limit
-        ["steer", "--drivers", "1" * 5000, "--xf", "1,2,3"],
+        # beyond Python's int-string digit limit
+        pytest.param(["verify", "--drivers", "1" * 5000], marks=needs_digit_limit),
+        pytest.param(["steer", "--drivers", "1" * 5000, "--xf", "1,2,3"],
+                     marks=needs_digit_limit),
     ])
     def test_non_ascii_digit_driver_ids_exit_2(self, capsys, star_file, argv):
         assert main([argv[0], star_file, *argv[1:]]) == 2

@@ -18,7 +18,7 @@ from netctl.graph import (
 )
 from netctl.matching import maximum_matching
 
-from .conftest import directed_graphs
+from .conftest import directed_graphs, needs_digit_limit
 from .oracles import scan_lines_reference
 
 #: Pieces of edge-list text, valid and not, for the scanner-equivalence test.
@@ -166,13 +166,15 @@ class TestParse:
         ("# caf\u00e9 \u0663\n0 -1\n", 2),           # after a non-ASCII comment
         ("x 1\n0 1\n", 1),                           # bad first line
         ("0 1\n2 y\n18446744073709551616 3\n", 2),   # long id after a bad line
-        pytest.param("0 1\n2 y\n" + "1" * 5000 + " 3\n", 2, id="over-limit-id-after-bad-line"),
+        pytest.param("0 1\n2 y\n" + "1" * 5000 + " 3\n", 2, id="over-limit-id-after-bad-line",
+                     marks=needs_digit_limit),
     ])
     def test_the_first_bad_line_is_named(self, text, line):
         outcome = _scan_outcome(_scan_ids, text.encode())
         assert outcome == _scan_outcome(scan_lines_reference, text)
         assert outcome[2] == line
 
+    @needs_digit_limit
     def test_an_id_over_the_digit_limit_names_its_line(self):
         with pytest.raises(EdgeListParseError, match="id of 5000 digits") as err:
             parse_edge_list("0 1\n" + "1" * 5000 + " 2\n3 3\n")

@@ -40,9 +40,21 @@ def star_system(a=0.7, b=1.3, drivers=(0,)):
 
 class TestLtiSystem:
     def test_column_with_two_entries_rejected(self):
-        b = np.array([[1.0], [1.0]])
-        with pytest.raises(ContractViolationError):
+        b = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(ContractViolationError, match="input column 1 must"):
             LtiSystem(a=np.zeros((2, 2)), b=b)
+
+    def test_column_check_matches_a_count_per_column(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n, m = rng.integers(1, 6, size=2)
+            b = (rng.random((n, m)) < rng.random()).astype(float)
+            bad = [j for j in range(m) if np.count_nonzero(b[:, j]) != 1]
+            if bad:
+                with pytest.raises(ContractViolationError, match=f"input column {bad[0]} must"):
+                    LtiSystem(a=np.zeros((n, n)), b=b)
+            else:
+                assert LtiSystem(a=np.zeros((n, n)), b=b).m == m
 
     def test_empty_input_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -58,10 +70,11 @@ class TestLtiSystem:
             s.a[0, 0] = 1.0
 
     def test_pattern_follows_graph(self):
-        s = star_system(a=0.7, b=1.3)
+        s = star_system(a=0.7, b=1.3, drivers=(2, 0))
         expected = np.array([[0, 0, 0], [0.7, 0, 0], [1.3, 0, 0]])
         assert np.array_equal(s.a, expected)
-        assert s.driver_nodes() == (0,)
+        assert np.array_equal(s.b, np.eye(3)[:, [0, 2]])
+        assert s.driver_nodes() == (0, 2)
 
     def test_zero_weight_rejected(self):
         g = DirectedGraph(2, ((0, 1),))
