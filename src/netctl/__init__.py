@@ -34,10 +34,7 @@ _EXPORTS = {
         "controllability_gramian", "controllability_matrix", "matrix_rank",
         "simulate", "steer", "structural_rank_test", "system_from_graph",
     ],
-    "matching": [
-        "MatchingResult", "has_alternate_maximum_matching", "maximum_matching",
-        "verify_maximality",
-    ],
+    "matching": ["MatchingResult", "has_alternate_maximum_matching", "maximum_matching"],
     "node_control": ["NodeControlAnalysis", "analyze_node_control"],
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

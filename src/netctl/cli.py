@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 # Every dense matrix here is at most 25 x 25, where extra BLAS threads only
@@ -180,25 +179,18 @@ def cmd_analyze(args) -> int:
 
 # ------------------------------------------------------------------ sweep
 
-@dataclass(frozen=True)
-class SweepRow:
-    model: str
-    n: int
-    mean_degree: float
-    seed: int
-    node_n_d: float
-    edge_n_d: float
-    edge_m_d: float
-    reciprocity: float
-
-
-def _sweep_task(task: tuple[str, int, float, float, int]) -> SweepRow:
+def _sweep_task(task: tuple[str, int, float, float, int]) -> tuple[float, float, float, float]:
+    """(node n_d, edge n_d, edge m_d, reciprocity) of the task's generated graph."""
     model, n, k, gamma, seed = task
     g = generate(GeneratorSpec(model=model, n=n, mean_degree=k, gamma=gamma, seed=seed))
-    node = analyze_node_control(g)
-    edge = analyze_edge_control(g)
-    stats = compute_stats(g)
-    return SweepRow(model, n, k, seed, node.n_d, edge.n_d, edge.m_d, stats.reciprocity)
+    node, edge = analyze_node_control(g), analyze_edge_control(g)
+    return node.n_d, edge.n_d, edge.m_d, compute_stats(g).reciprocity
+
+
+def _mean_std(values: tuple[float, ...]) -> tuple[float, float]:
+    import statistics  # ~40 ms at start-up that only the sweep needs
+
+    return statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0
 
 
 def _worker_count(task_count: int) -> int:
@@ -217,8 +209,7 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    # imported here: ~40 ms that no other command needs on every start
-    import statistics
+    # imported here: no other command needs it
     from concurrent.futures import ProcessPoolExecutor
 
     if args.k_max < args.k_min:
@@ -246,26 +237,17 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_task(task) for task in tasks]
 
     lines = ["model,n,mean_degree,seed,node_n_d,edge_n_d,edge_m_d,reciprocity"]
-    for row in rows:
-        lines.append(
-            f"{row.model},{row.n},{row.mean_degree:.6g},{row.seed},"
-            f"{row.node_n_d:.6g},{row.edge_n_d:.6g},{row.edge_m_d:.6g},"
-            f"{row.reciprocity:.6g}"
-        )
+    for (model, n, k, _, seed), row in zip(tasks, rows):
+        lines.append(f"{model},{n},{k:.6g},{seed}," + ",".join(f"{v:.6g}" for v in row))
     Path(args.out).write_text("\n".join(lines) + "\n")
 
     summary = []
     for i, k in enumerate(ks):
         chunk = rows[i * args.replicates : (i + 1) * args.replicates]
-
-        def agg(values: list[float]) -> tuple[float, float]:
-            mean = statistics.fmean(values)
-            std = statistics.stdev(values) if len(values) > 1 else 0.0
-            return mean, std
-
-        node_mean, node_std = agg([r.node_n_d for r in chunk])
-        edge_mean, edge_std = agg([r.edge_n_d for r in chunk])
-        md_mean, md_std = agg([r.edge_m_d for r in chunk])
+        node_n_d, edge_n_d, edge_m_d, _ = zip(*chunk)
+        node_mean, node_std = _mean_std(node_n_d)
+        edge_mean, edge_std = _mean_std(edge_n_d)
+        md_mean, md_std = _mean_std(edge_m_d)
         summary.append({
             "model": args.model,
             "n": args.n,

@@ -33,10 +33,10 @@ class DirectedGraph:
     ``dst[indptr[u]:indptr[u + 1]]``. Both constructors run the single
     validation point, which rejects self-loops, duplicate edges and
     out-of-range endpoints. ``edges`` is the same sorted edge list as a
-    tuple of (source, target) pairs, built on first use.
+    tuple of (source, target) pairs, built from the arrays on each access.
     """
 
-    __slots__ = ("node_count", "src", "dst", "indptr", "_edges")
+    __slots__ = ("node_count", "src", "dst", "indptr")
 
     def __init__(self, node_count: int, edges: Iterable[Edge] = ()):
         pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
@@ -81,7 +81,6 @@ class DirectedGraph:
         for array in (src, dst, indptr):
             array.flags.writeable = False
         self.src, self.dst, self.indptr = src, dst, indptr
-        self._edges = None
 
     @property
     def edge_count(self) -> int:
@@ -89,9 +88,7 @@ class DirectedGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            self._edges = tuple(zip(self.src.tolist(), self.dst.tolist()))
-        return self._edges
+        return tuple(zip(self.src.tolist(), self.dst.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, DirectedGraph):
@@ -119,18 +116,13 @@ class LineDigraph:
     (e1, e2) exists iff the original edges form a directed path of length
     two (target of e1 equals source of e2). ``edge_of_node`` is an
     (E, 2) int64 array whose row i is the original (source, target) edge
-    of edge-space node i; its rows are distinct, a bijection onto the
+    of edge-space node i; :func:`to_line_digraph` takes the rows from the
+    validated edge arrays, so they are distinct, a bijection onto the
     original edge set. Equality is identity.
     """
 
     graph: DirectedGraph
     edge_of_node: np.ndarray
-
-    def __post_init__(self):
-        if self.edge_of_node.shape != (self.graph.node_count, 2):
-            raise ValueError("edge_of_node must have one row per edge-space node")
-        if len(set(map(tuple, self.edge_of_node.tolist()))) != self.graph.node_count:
-            raise ValueError("edge_of_node must be a bijection")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the library's own algorithms: matching sizes
-come from a bitmask DP over right nodes, reachability from a plain BFS,
-and the matrix exponential reference from mpmath at high precision.
+come from a bitmask DP over right nodes, maximality from a König vertex
+cover, reachability from a plain BFS, and the matrix exponential
+reference from mpmath at high precision.
 Some references keep a former formulation instead: the pure-Python
 Hopcroft-Karp over adjacency lists, the layered-edge filter that
 recomputes every edge's layer and sorts the stepping edges by it, the
@@ -182,6 +183,45 @@ def maximum_matching_reference(g: DirectedGraph) -> MatchingResult:
         match_right=np.array(match_right, dtype=np.int64),
         size=size,
     )
+
+
+def konig_certificate_holds(g: DirectedGraph, m: MatchingResult) -> bool:
+    """True iff ``m`` is a matching of ``g``'s plus/minus split with
+    consistent mates and size, and a König vertex cover proves it maximum.
+
+    Z_L is the set of left nodes an alternating BFS reaches from the free
+    ones, and C = (L minus Z_L) plus the right ends of Z_L's edges. A
+    vertex cover is at least as large as any matching (each matched edge
+    needs its own cover node), so a cover with |C| = |M| proves M maximum
+    however C was found. Plain Python over the edge list: no search of
+    the library's is run.
+    """
+    n, match_left, match_right = g.node_count, m.match_left.tolist(), m.match_right.tolist()
+    if len(match_left) != n or len(match_right) != n:
+        return False
+    edges = set(g.edges)
+    matched = [(u, v) for u, v in enumerate(match_left) if v != _UNSET]
+    if any((u, v) not in edges or match_right[v] != u for u, v in matched):
+        return False
+    # with each matched left's right mate pointing back, no other right may be matched
+    if n - match_right.count(_UNSET) != len(matched) or m.size != len(matched):
+        return False
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+    reached = {u for u in range(n) if match_left[u] == _UNSET}
+    queue = deque(reached)
+    right_cover: set[int] = set()
+    while queue:
+        for v in adj[queue.popleft()]:
+            right_cover.add(v)
+            w = match_right[v]
+            if w != _UNSET and w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if any(u in reached and v not in right_cover for u, v in edges):
+        return False
+    return n - len(reached) + len(right_cover) == m.size
 
 
 def bfs_layers_reference(g: DirectedGraph, m: MatchingResult) -> tuple[np.ndarray, int]:

@@ -449,14 +449,15 @@ class TestSweep:
         )
 
     def test_parallel_run_is_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NETCTL_THREADS", "1")
-        serial, _, _ = self.sweep(tmp_path)
-        serial_bytes = serial.read_bytes()
-        monkeypatch.setenv("NETCTL_THREADS", "2")
-        parallel_dir = tmp_path / "par"
-        parallel_dir.mkdir()
-        parallel, _, _ = self.sweep(parallel_dir)
-        assert parallel.read_bytes() == serial_bytes
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETCTL_THREADS", threads)
+            run_dir = tmp_path / threads
+            run_dir.mkdir()
+            csv_path, _, _ = self.sweep(run_dir)
+            summary_path = run_dir / "sweep.summary.json"
+            outputs.append((csv_path.read_bytes(), summary_path.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_sweep_skips_the_alternate_check_analyze_runs(
         self, capsys, star_file, tmp_path, monkeypatch

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netctl.errors import ContractViolationError
 from netctl.generators import GeneratorSpec, generate
 from netctl.graph import DirectedGraph, to_line_digraph
 from netctl.matching import (
@@ -14,13 +13,13 @@ from netctl.matching import (
     _live_edges,
     has_alternate_maximum_matching,
     maximum_matching,
-    verify_maximality,
 )
 
 from .conftest import bipartite_graphs, directed_graphs
 from .oracles import (
     bfs_layers_reference,
     has_alternate_maximum_matching_reference,
+    konig_certificate_holds,
     layered_edges_reference,
     max_matching_size_brute,
     maximum_matching_reference,
@@ -191,39 +190,37 @@ class TestLayeredGraph:
 
 
 class TestVerifyMaximality:
+    """Maximality as the König-cover certificate of tests/oracles.py sees
+    it: a valid matching plus a vertex cover of the same size."""
+
     def test_star_canonical_matching_is_maximal(self, star):
         # the only competing matching {(0, 2)} also has size 1
         b = star
-        assert verify_maximality(b, result_from_pairs(b, {(0, 1)})) is True
+        assert konig_certificate_holds(b, result_from_pairs(b, {(0, 1)}))
 
     def test_star_empty_matching_is_not_maximal(self, star):
         b = star
-        assert verify_maximality(b, result_from_pairs(b, set())) is False
+        assert not konig_certificate_holds(b, result_from_pairs(b, set()))
 
     def test_perfect_matching_is_maximal(self, three_cycle):
         b = three_cycle
         pairs = {(0, 1), (1, 2), (2, 0)}
-        assert verify_maximality(b, result_from_pairs(b, pairs)) is True
+        assert konig_certificate_holds(b, result_from_pairs(b, pairs))
 
     def test_rejects_non_matching(self, star):
         b = star
-        with pytest.raises(ContractViolationError):
-            verify_maximality(b, result_from_pairs(b, {(0, 1), (0, 2)}))
+        assert not konig_certificate_holds(b, result_from_pairs(b, {(0, 1), (0, 2)}))
 
     def test_rejects_pair_that_is_not_an_edge(self, star):
         b = star
-        with pytest.raises(ContractViolationError):
-            verify_maximality(b, result_from_pairs(b, {(1, 0)}))
+        assert not konig_certificate_holds(b, result_from_pairs(b, {(1, 0)}))
 
     def test_rejects_inconsistent_bookkeeping(self, star):
         b = star
         m = result_from_pairs(b, {(0, 1)})
-        broken = MatchingResult(m.match_left, m.match_right, size=7)
-        with pytest.raises(ContractViolationError):
-            verify_maximality(b, broken)
+        assert not konig_certificate_holds(b, MatchingResult(m.match_left, m.match_right, size=7))
         short = MatchingResult(m.match_left[:-1], m.match_right, size=1)
-        with pytest.raises(ContractViolationError, match="node counts"):
-            verify_maximality(b, short)
+        assert not konig_certificate_holds(b, short)
 
     @given(bipartite_graphs(), st.data())
     def test_rejects_any_corrupted_pair(self, b, data):
@@ -251,19 +248,26 @@ class TestVerifyMaximality:
             match_left[left], match_right[right] = stranger, -1
             match_right[stranger] = left
         size = int(np.count_nonzero(match_left != -1))  # only the arrays disagree
-        with pytest.raises(ContractViolationError):
-            verify_maximality(b, MatchingResult(match_left, match_right, size))
+        assert not konig_certificate_holds(b, MatchingResult(match_left, match_right, size))
 
     @given(bipartite_graphs())
     def test_canonical_matching_always_verifies(self, b):
-        assert verify_maximality(b, maximum_matching(b)) is True
+        assert konig_certificate_holds(b, maximum_matching(b))
+
+    @given(directed_graphs(max_nodes=12))
+    def test_canonical_matching_verifies_on_digraph_splits(self, g):
+        assert konig_certificate_holds(g, maximum_matching(g))
+
+    def test_empty_graph_verifies(self):
+        empty = DirectedGraph(0, ())
+        assert konig_certificate_holds(empty, maximum_matching(empty))
 
     @given(bipartite_graphs(), st.data())
     def test_dropping_any_pair_is_not_maximal(self, b, data):
         pairs = pairs_of(maximum_matching(b))
         assume(pairs)
         dropped = data.draw(st.sampled_from(sorted(pairs)))
-        assert verify_maximality(b, result_from_pairs(b, pairs - {dropped})) is False
+        assert not konig_certificate_holds(b, result_from_pairs(b, pairs - {dropped}))
 
 
 class TestAlternateMatchings:
