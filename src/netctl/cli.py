@@ -126,20 +126,19 @@ def analysis_report(parsed: ParsedEdgeList, source: str, digest: str) -> dict:
     node = analyze_node_control(g)
     edge = analyze_edge_control(g)
     orig = parsed.original_ids
-    n, e = g.node_count, g.edge_count
     return {
         "tool": {"name": "netctl", "version": __version__},
         "input": {
             "path": source,
             "sha256": digest,
-            "node_count": n,
-            "edge_count": e,
+            "node_count": g.node_count,
+            "edge_count": g.edge_count,
             "raw_edge_count": parsed.raw_edge_count,
             "duplicate_edges_collapsed": parsed.duplicate_count,
         },
         "stats": {
             "density": stats.density,
-            "density_unordered_pairs": 2.0 * e / (n * (n - 1)) if n > 1 else 0.0,
+            "density_unordered_pairs": 2.0 * stats.density,
             "mean_degree": stats.mean_degree,
             "reciprocity": stats.reciprocity,
             "isolated_nodes": stats.isolated_count,
@@ -320,14 +319,10 @@ def cmd_verify(args) -> int:
         )
     orig = parsed.original_ids.tolist()
     if args.mode == "node":
-        system_graph = g
-        labels = orig
-        controlled = "nodes"
+        system_graph, labels, controlled = g, orig, "nodes"
     else:
-        ld = to_line_digraph(g)
-        system_graph = ld.graph
-        labels = [f"{orig[s]}-{orig[t]}" for s, t in ld.edge_of_node.tolist()]
-        controlled = "edges"
+        system_graph, controlled = to_line_digraph(g).graph, "edges"
+        labels = [f"{orig[s]}-{orig[t]}" for s, t in zip(g.src.tolist(), g.dst.tolist())]
 
     def relabel(dense_set):
         return sorted(labels[i] for i in dense_set)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -150,11 +151,8 @@ def generate_sf(spec: GeneratorSpec) -> DirectedGraph:
         return DirectedGraph(spec.n)
 
     alpha = 1.0 / (spec.gamma - 1.0)
-    cumulative: list[float] = []
-    total = 0.0
-    for i in range(spec.n):
-        total += (i + 1) ** -alpha
-        cumulative.append(total)
+    cumulative = list(accumulate((i + 1) ** -alpha for i in range(spec.n)))
+    total = cumulative[-1]
 
     def draw_node() -> int:
         return bisect_right(cumulative, rng.next_float() * total)

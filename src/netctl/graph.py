@@ -114,15 +114,12 @@ class LineDigraph:
 
     ``graph`` is a digraph whose nodes are the original edges; its edge
     (e1, e2) exists iff the original edges form a directed path of length
-    two (target of e1 equals source of e2). ``edge_of_node`` is an
-    (E, 2) int64 array whose row i is the original (source, target) edge
-    of edge-space node i; :func:`to_line_digraph` takes the rows from the
-    validated edge arrays, so they are distinct, a bijection onto the
-    original edge set. Equality is identity.
+    two (target of e1 equals source of e2). Edge-space node i is the
+    original graph's edge i, ``(g.src[i], g.dst[i])``. Equality is
+    identity.
     """
 
     graph: DirectedGraph
-    edge_of_node: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,16 +134,6 @@ class GraphStats:
     mean_degree: float
     reciprocity: float
     isolated_count: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError("density out of range")
-        if self.mean_degree < 0.0:
-            raise ValueError("mean_degree must be non-negative")
-        if not 0.0 <= self.reciprocity <= 1.0:
-            raise ValueError("reciprocity out of range")
-        if self.isolated_count < 0:
-            raise ValueError("isolated_count must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,9 +350,7 @@ def to_line_digraph(g: DirectedGraph) -> LineDigraph:
     edge's target, so the edges come out of the CSR arrays already sorted."""
     heads = edge_positions(g.indptr, g.dst)
     tails = np.repeat(np.arange(g.edge_count), np.diff(g.indptr)[g.dst])
-    edge_of_node = np.column_stack((g.src, g.dst))
-    edge_of_node.flags.writeable = False
-    return LineDigraph(DirectedGraph.from_arrays(g.edge_count, tails, heads), edge_of_node)
+    return LineDigraph(DirectedGraph.from_arrays(g.edge_count, tails, heads))
 
 
 def compute_stats(g: DirectedGraph) -> GraphStats:

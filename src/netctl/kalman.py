@@ -10,7 +10,8 @@ Controllability determined by structure alone is a generic property:
 it holds for almost all weight assignments, so a handful of random
 samples decides it. Samples are drawn uniformly from [0.5, 1.5] - away
 from zero to avoid accidental degeneracy and from large magnitudes to
-keep the controllability matrix well scaled.
+keep the controllability matrix well scaled. A rank test builds B once,
+and each sample only writes fresh weights into one state matrix.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ class LtiSystem:
     def m(self) -> int:
         return self.b.shape[1]
 
-    def driver_nodes(self) -> tuple[int, ...]:
-        """Row index of each input column's nonzero entry."""
-        return tuple(int(np.flatnonzero(self.b[:, j])[0]) for j in range(self.m))
-
 
 @dataclass(frozen=True)
 class RankVerdict:
@@ -125,6 +122,18 @@ class SteerResult:
     gramian_condition: float
 
 
+def _input_matrix(n: int, drivers: Iterable[int]) -> np.ndarray:
+    """Dedicated inputs: one unit column per distinct driver, ascending."""
+    driver_list = sorted(set(int(d) for d in drivers))
+    if not driver_list:
+        raise ContractViolationError("Kalman condition requires M >= 1 inputs")
+    if driver_list[0] < 0 or driver_list[-1] >= n:
+        raise ContractViolationError("driver ids out of range")
+    b = np.zeros((n, len(driver_list)))
+    b[driver_list, np.arange(len(driver_list))] = 1.0
+    return b
+
+
 def system_from_graph(
     g: DirectedGraph,
     drivers: Iterable[int],
@@ -136,11 +145,7 @@ def system_from_graph(
     ``weights`` aligns with the lexicographically sorted edge list; when
     omitted they are drawn from [0.5, 1.5] using ``rng``.
     """
-    driver_list = sorted(set(int(d) for d in drivers))
-    if not driver_list:
-        raise ContractViolationError("Kalman condition requires M >= 1 inputs")
-    if driver_list[0] < 0 or driver_list[-1] >= g.node_count:
-        raise ContractViolationError("driver ids out of range")
+    b = _input_matrix(g.node_count, drivers)
     e = g.edge_count
     if weights is None:
         if rng is None:
@@ -154,25 +159,22 @@ def system_from_graph(
 
     a = np.zeros((g.node_count, g.node_count))
     a[g.dst, g.src] = weights  # edges are in lexicographic order
-
-    b = np.zeros((g.node_count, len(driver_list)))
-    b[driver_list, np.arange(len(driver_list))] = 1.0
     return LtiSystem(a=a, b=b)
 
 
-def controllability_matrix(s: LtiSystem) -> np.ndarray:
+def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Block matrix [B, AB, A^2 B, ..., A^(N-1) B], N x (N*M).
 
     Computed by iterated multiplication with per-block column
     normalization to curb overflow; rescaling a column by a positive
     factor is an elementary operation, so the rank is unchanged.
     """
-    n, m = s.n, s.m
+    n, m = b.shape
     q = np.empty((n, n * m))
-    block = np.array(s.b, dtype=float)
+    block = np.array(b, dtype=float)
     for k in range(n):
         if k:
-            block = s.a @ block
+            block = a @ block
         norms = np.sqrt(np.add.reduce(block * block, axis=0))
         norms[norms == 0.0] = 1.0
         block /= norms
@@ -189,9 +191,24 @@ def matrix_rank(q: np.ndarray, tol: float | None = None) -> int:
     if q.size == 0:
         return 0
     sv = np.linalg.svd(q, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
     return int(np.count_nonzero(sv > tol * sv[0] * max(q.shape)))
+
+
+def _sampled_rank(heads: np.ndarray, tails: np.ndarray, b: np.ndarray,
+                  samples: int, tol: float | None, seed: int) -> RankVerdict:
+    """Rank test of the pattern a[heads, tails] driven through ``b``; each
+    sample draws one weight per entry, in the given order, into one matrix."""
+    tol = _EPS if tol is None else tol
+    rng = np.random.default_rng(seed)
+    n = b.shape[0]
+    a = np.zeros((n, n))
+    best = 0
+    for i in range(samples):
+        a[heads, tails] = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=heads.size)
+        best = max(best, matrix_rank(controllability_matrix(a, b), tol))
+        if best == n:
+            return RankVerdict(True, n, i + 1, tol)
+    return RankVerdict(False, best, samples, tol)
 
 
 def structural_rank_test(
@@ -208,21 +225,10 @@ def structural_rank_test(
     and negative only after every sample fails. The default three samples
     guard against unlucky numerical borderline draws.
     """
-    drivers = list(drivers)  # each sample's system_from_graph sorts and checks it
     if samples < 1:
         raise ContractViolationError("samples must be positive")
-    if tol is None:
-        tol = _EPS
-    rng = np.random.default_rng(seed)
-    n = g.node_count
-    best = 0
-    for i in range(samples):
-        s = system_from_graph(g, drivers, rng=rng)
-        rank = matrix_rank(controllability_matrix(s), tol)
-        best = max(best, rank)
-        if best == n:
-            return RankVerdict(True, n, i + 1, tol)
-    return RankVerdict(False, best, samples, tol)
+    b = _input_matrix(g.node_count, drivers)
+    return _sampled_rank(g.dst, g.src, b, samples, tol, seed)
 
 
 def brute_force_min_drivers(
@@ -264,14 +270,6 @@ def controllability_gramian(s: LtiSystem, tf: float) -> np.ndarray:
         g_k = expm(s.a * (k * h)) @ s.b
         gram += coeff * (g_k @ g_k.T)
     return gram * (h / 3.0)
-
-
-def _pattern_graph(s: LtiSystem) -> DirectedGraph:
-    """Off-diagonal sparsity pattern of ``a`` as a digraph (a[i, j] != 0
-    means edge j -> i); the diagonal is ignored."""
-    rows, cols = np.nonzero(s.a)
-    off = rows != cols
-    return DirectedGraph.from_arrays(s.n, cols[off], rows[off])
 
 
 def _rk4(s: LtiSystem, u_tab: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
@@ -332,10 +330,11 @@ def steer(
     finite-horizon Gramian W; the closed system is integrated with
     fixed-step RK4 over ``steps`` steps.
 
-    Raises UncontrollableError when the driver pattern fails the sampled
-    rank test, and IllConditionedError when W overflows (advice: decrease
-    tf) or cond(W) exceeds 1e12 (advice: a smaller tf when W's largest
-    eigenvalue exceeds one, else a larger one, or other drivers).
+    Raises UncontrollableError when A's off-diagonal pattern, driven at
+    the rows of B's nonzeros, fails the sampled rank test, and
+    IllConditionedError when W overflows (advice: decrease tf) or cond(W)
+    exceeds 1e12 (advice: a smaller tf when W's largest eigenvalue
+    exceeds one, else a larger one, or other drivers).
     """
     x0 = np.asarray(x0, dtype=float)
     xf = np.asarray(xf, dtype=float)
@@ -346,11 +345,14 @@ def steer(
             f"tf must be positive and finite and steps positive, got {tf} and {steps}"
         )
 
-    verdict = structural_rank_test(_pattern_graph(s), s.driver_nodes(), seed=seed)
+    tails, heads = np.nonzero(s.a.T)  # in (tail, head) order, as edges sort
+    off = tails != heads
+    drivers = s.b.nonzero()[0].tolist()  # each column's row, ascending
+    b = _input_matrix(s.n, drivers)
+    verdict = _sampled_rank(heads[off], tails[off], b, samples=3, tol=None, seed=seed)
     if not verdict.full_rank:
         raise UncontrollableError(
-            f"driver set {sorted(s.driver_nodes())} fails the rank test "
-            f"(rank {verdict.rank} of {s.n})"
+            f"driver set {drivers} fails the rank test (rank {verdict.rank} of {s.n})"
         )
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,7 +9,8 @@ Hopcroft-Karp over adjacency lists, the layered-edge filter that
 recomputes every edge's layer and sorts the stepping edges by it, the
 alternate-matching search that re-solves once per matched pair, edge
 control by an explicit matching on the line digraph, the
-controllability matrix normalized with ``np.linalg.norm``, the JSON
+controllability matrix normalized with ``np.linalg.norm``, the rank
+test that builds one whole system per sample, the JSON
 reports encoded by ``json.dumps``, and the edge-list scan that parses
 every line in Python.
 """
@@ -26,7 +27,12 @@ import numpy as np
 from netctl.edge_control import EdgeControlAnalysis
 from netctl.errors import EdgeListParseError, SelfLoopError
 from netctl.graph import DirectedGraph, to_line_digraph
-from netctl.kalman import LtiSystem
+from netctl.kalman import (
+    RankVerdict,
+    controllability_matrix,
+    matrix_rank,
+    system_from_graph,
+)
 from netctl.matching import MatchingResult
 
 _UNSET = -1
@@ -76,20 +82,38 @@ def controllability_matrix_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def controllability_matrix_reference(s: LtiSystem) -> np.ndarray:
+def controllability_matrix_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(N-1)B] with each block's columns scaled to unit
     norm by ``np.linalg.norm`` (zero columns left as they are)."""
-    n, m = s.n, s.m
+    n, m = b.shape
     q = np.empty((n, n * m))
-    block = np.array(s.b, dtype=float)
+    block = np.array(b, dtype=float)
     for k in range(n):
         if k:
-            block = s.a @ block
+            block = a @ block
         norms = np.linalg.norm(block, axis=0)
         nonzero = norms > 0.0
         block[:, nonzero] /= norms[nonzero]
         q[:, k * m : (k + 1) * m] = block
     return q
+
+
+def structural_rank_test_reference(
+    g: DirectedGraph, drivers, samples: int = 3, tol: float | None = None, seed: int = 0
+) -> RankVerdict:
+    """The sampled rank test with one whole system per sample:
+    ``system_from_graph`` draws the weights, then ``controllability_matrix``
+    and ``matrix_rank``; full rank as soon as one sample reaches N."""
+    tol = float(np.finfo(float).eps) if tol is None else tol
+    rng = np.random.default_rng(seed)
+    drivers = list(drivers)
+    best = 0
+    for i in range(samples):
+        s = system_from_graph(g, drivers, rng=rng)
+        best = max(best, matrix_rank(controllability_matrix(s.a, s.b), tol))
+        if best == g.node_count:
+            return RankVerdict(True, best, i + 1, tol)
+    return RankVerdict(False, best, samples, tol)
 
 
 def _sorted_adjacency(g: DirectedGraph) -> list[list[int]]:
@@ -296,7 +320,7 @@ def edge_control_via_line_digraph(g: DirectedGraph) -> EdgeControlAnalysis:
     ld = to_line_digraph(g)
     m = maximum_matching_reference(ld.graph)
     unmatched = [v for v, u in enumerate(m.match_right.tolist()) if u == _UNSET] or [0]
-    driver_edges = sorted(ld.edge_of_node[unmatched].tolist())
+    driver_edges = sorted(np.column_stack((g.src, g.dst))[unmatched].tolist())
     driver_nodes = sorted({src for src, _ in driver_edges})
     return EdgeControlAnalysis(
         driver_edges=np.array(driver_edges, dtype=np.int64),

@@ -634,9 +634,18 @@ class TestSteer:
         energy = float(summary.split("input_energy=")[1].split()[0])
         assert energy == 0.0
 
-    def test_uncontrollable_drivers_exit_3(self, capsys, star_file):
+    def test_uncontrollable_drivers_exit_3(self, capsys, star_file, tmp_path):
         assert main(["steer", star_file, "--drivers", "0", "--xf", "1,2,3"]) == 3
-        assert "rank" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: driver set [0] fails the rank test (rank 2 of 3)\n"
+        )
+        # the README's known limit: a chain 0 -> 1 -> 2 beside a reciprocal pair 3, 4
+        path = tmp_path / "known_limit.txt"
+        path.write_text("0 1\n1 2\n3 4\n4 3\n")
+        assert main(["steer", str(path), "--drivers", "0", "--xf", "1,2,3,4,5"]) == 3
+        assert capsys.readouterr().err == (
+            "error: driver set [0] fails the rank test (rank 3 of 5)\n"
+        )
 
     def test_bad_vector_exits_2(self, capsys, star_file):
         assert main(["steer", star_file, "--drivers", "0,2", "--xf", "1,2"]) == 2

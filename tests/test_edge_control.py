@@ -113,7 +113,8 @@ def test_isolated_edges_in_edge_space_are_drivers(g):
     ld = to_line_digraph(g)
     a = analyze_edge_control(g)
     outs, ins = ld.graph.degree_arrays()
-    isolated_edges = set(map(tuple, ld.edge_of_node[(outs == 0) & (ins == 0)].tolist()))
+    edges = np.column_stack((g.src, g.dst))
+    isolated_edges = set(map(tuple, edges[(outs == 0) & (ins == 0)].tolist()))
     assert isolated_edges <= edge_set(a)
 
 

@@ -240,12 +240,11 @@ class TestLineDigraph:
         ld = to_line_digraph(star)
         assert ld.graph.node_count == 2
         assert ld.graph.edges == ()
-        assert ld.edge_of_node.tolist() == [[0, 1], [0, 2]]
-        assert ld.edge_of_node.dtype == np.int64 and not ld.edge_of_node.flags.writeable
 
     def test_reciprocal_chain(self, reciprocal_chain):
         ld = to_line_digraph(reciprocal_chain)
-        assert ld.edge_of_node.tolist() == [[0, 1], [1, 2], [2, 1], [2, 3]]
+        # edge-space node i is the original edge i
+        assert reciprocal_chain.edges == ((0, 1), (1, 2), (2, 1), (2, 3))
         # adjacent original edges form paths of length two
         assert set(ld.graph.edges) == {(0, 1), (1, 2), (1, 3), (2, 1)}
 
@@ -277,11 +276,6 @@ class TestLineDigraph:
             if middle == source
         }
         assert set(to_line_digraph(g).graph.edges) == expected
-
-    @given(directed_graphs())
-    def test_edge_of_node_is_a_bijection(self, g):
-        ld = to_line_digraph(g)
-        assert list(map(tuple, ld.edge_of_node.tolist())) == list(g.edges)
 
 
 class TestStats:

@@ -30,12 +30,22 @@ from .oracles import (
     controllability_matrix_naive,
     controllability_matrix_reference,
     expm_reference,
+    structural_rank_test_reference,
 )
 
 
 def star_system(a=0.7, b=1.3, drivers=(0,)):
     g = DirectedGraph(3, ((0, 1), (0, 2)))
     return system_from_graph(g, drivers, weights=[a, b])
+
+
+def random_small_digraph(rng: np.random.Generator) -> DirectedGraph:
+    """Up to 8 nodes, each ordered pair an edge with one drawn density."""
+    n = int(rng.integers(1, 9))
+    adjacent = rng.random((n, n)) < rng.random()
+    np.fill_diagonal(adjacent, False)
+    heads, tails = np.nonzero(adjacent)
+    return DirectedGraph.from_arrays(n, tails, heads)
 
 
 class TestLtiSystem:
@@ -74,7 +84,6 @@ class TestLtiSystem:
         expected = np.array([[0, 0, 0], [0.7, 0, 0], [1.3, 0, 0]])
         assert np.array_equal(s.a, expected)
         assert np.array_equal(s.b, np.eye(3)[:, [0, 2]])
-        assert s.driver_nodes() == (0, 2)
 
     def test_zero_weight_rejected(self):
         g = DirectedGraph(2, ((0, 1),))
@@ -84,7 +93,8 @@ class TestLtiSystem:
 
 class TestControllabilityMatrix:
     def test_star_hub_only_has_rank_two(self):
-        q = controllability_matrix(star_system(a=0.7, b=1.3))
+        s = star_system(a=0.7, b=1.3)
+        q = controllability_matrix(s.a, s.b)
         assert q.shape == (3, 3)
         assert np.array_equal(q[:, 0], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(
@@ -96,12 +106,12 @@ class TestControllabilityMatrix:
     def test_identity_input_spans_everything(self):
         # B alone spans the space even with no dynamics
         s = LtiSystem(a=np.zeros((3, 3)), b=np.eye(3))
-        assert matrix_rank(controllability_matrix(s)) == 3
+        assert matrix_rank(controllability_matrix(s.a, s.b)) == 3
 
     def test_two_chain_is_lower_triangular_full_rank(self):
         g = DirectedGraph(2, ((0, 1),))
         s = system_from_graph(g, {0}, weights=[0.9])
-        q = controllability_matrix(s)
+        q = controllability_matrix(s.a, s.b)
         np.testing.assert_allclose(q, np.eye(2))
         assert matrix_rank(q) == 2
 
@@ -112,7 +122,7 @@ class TestControllabilityMatrix:
         )
         rng = np.random.default_rng(11)
         s = system_from_graph(g, drivers, rng=rng)
-        normalized = matrix_rank(controllability_matrix(s))
+        normalized = matrix_rank(controllability_matrix(s.a, s.b))
         plain = np.linalg.matrix_rank(controllability_matrix_naive(s.a, s.b))
         assert normalized == plain
 
@@ -124,7 +134,7 @@ class TestControllabilityMatrix:
         seed = data.draw(st.integers(0, 2**32 - 1))
         s = system_from_graph(g, drivers, rng=np.random.default_rng(seed))
         assert np.array_equal(
-            controllability_matrix(s), controllability_matrix_reference(s)
+            controllability_matrix(s.a, s.b), controllability_matrix_reference(s.a, s.b)
         )
 
 
@@ -153,6 +163,84 @@ class TestStructuralRankTest:
     def test_single_node_graph(self):
         g = DirectedGraph(1, ())
         assert structural_rank_test(g, {0}).full_rank
+
+
+class TestOnePatternPerRankTest:
+    """The rank test and steer's refusal draw the same weights as the
+    route that builds a whole system per sample."""
+
+    def test_rank_test_equals_one_system_per_sample(self):
+        rng = np.random.default_rng(28)
+        verdicts = set()
+        for _ in range(150):
+            g = random_small_digraph(rng)
+            # unsorted, possibly repeated driver ids
+            drivers = rng.integers(0, g.node_count, size=rng.integers(1, 4)).tolist()
+            samples, seed = int(rng.integers(1, 4)), int(rng.integers(0, 2**32))
+            # a coarse tolerance makes the rank depend on the weights drawn
+            tol = (None, 1e-10, 0.02, 0.1)[int(rng.integers(0, 4))]
+            verdict = structural_rank_test(g, drivers, samples=samples, tol=tol, seed=seed)
+            assert verdict == structural_rank_test_reference(
+                g, drivers, samples=samples, tol=tol, seed=seed
+            )
+            verdicts.add(verdict.full_rank)
+        assert verdicts == {True, False}
+
+    def test_steer_refuses_as_the_rank_test_of_its_source_graph(self, monkeypatch):
+        class PastTheRankTest(Exception):
+            pass
+
+        def stop(s, tf):  # the Gramian is steer's next step after the rank test
+            raise PastTheRankTest
+
+        seen = []
+
+        def recording_rank(q, tol=None):
+            seen.append(q.copy())
+            return matrix_rank(q, tol)
+
+        monkeypatch.setattr("netctl.kalman.controllability_gramian", stop)
+        monkeypatch.setattr("netctl.kalman.matrix_rank", recording_rank)
+        rng = np.random.default_rng(29)
+        refused = set()
+        passed = 0
+        for _ in range(150):
+            g = random_small_digraph(rng)
+            n = g.node_count
+            a = np.zeros((n, n))
+            a[g.dst, g.src] = rng.choice([-1.3, 0.6, 2.0], size=g.edge_count)
+            a[np.diag_indices(n)] = rng.choice([0.0, -1.0, -0.4], size=n)
+            rows = rng.integers(0, n, size=rng.integers(1, 4))
+            b = np.zeros((n, rows.size))
+            b[rows, np.arange(rows.size)] = rng.choice([1.0, 2.5, -0.3], size=rows.size)
+            seed = int(rng.integers(0, 2**32))
+            seen.clear()
+            verdict = structural_rank_test(g, rows.tolist(), seed=seed)
+            expected = seen.copy()
+            seen.clear()
+            s = LtiSystem(a=a, b=b)
+            outcome = PastTheRankTest if verdict.full_rank else UncontrollableError
+            with pytest.raises(outcome) as raised:
+                steer(s, np.zeros(n), np.ones(n), tf=1.0, seed=seed)
+            # the same weights land on the same entries: equal matrices per sample
+            assert len(seen) == len(expected)
+            assert all(np.array_equal(q, r) for q, r in zip(seen, expected))
+            if verdict.full_rank:
+                passed += 1
+                continue
+            assert str(raised.value) == (
+                f"driver set {sorted(rows.tolist())} fails the rank test "
+                f"(rank {verdict.rank} of {n})"
+            )
+            refused.update(
+                kind for kind, present in (
+                    ("self-damping diagonal", np.diag(a).any()),
+                    ("unsorted columns", (np.diff(rows) < 0).any()),
+                    ("non-unit entries", (b[rows, np.arange(rows.size)] != 1.0).any()),
+                    ("two columns on one row", len(set(rows.tolist())) < rows.size),
+                ) if present
+            )
+        assert passed and len(refused) == 4
 
 
 class TestBruteForce:
