@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 # Every dense matrix here is at most 25 x 25, where extra BLAS threads only
-# spin; set before numpy (and scipy) load, and a caller's value still wins.
+# spin; set before numpy loads, and a caller's value still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402

@@ -6,6 +6,12 @@ under randomly sampled weights, brute-forces minimal driver sets on
 small instances, and steers systems with minimum-energy inputs derived
 from the finite-horizon controllability Gramian.
 
+Matrix exponentials need numpy alone: ``expm`` is scaling and squaring
+with the [13/13] Pade approximant (Higham 2005). A steering takes three:
+one Simpson step e^(A h) whose powers are the Gramian's quadrature
+nodes, e^(A tf) for the free response, and one half-grid step
+e^(A' delta) that carries the inputs backwards from tf.
+
 Controllability determined by structure alone is a generic property:
 it holds for almost all weight assignments, so a handful of random
 samples decides it. Samples are drawn uniformly from [0.5, 1.5] - away
@@ -16,6 +22,7 @@ and each sample only writes fresh weights into one state matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -44,12 +51,41 @@ GRAMIAN_PANELS = 200
 BRUTE_FORCE_MAX_STATES = 10
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scipy.linalg.expm, imported on first call so
-    commands that never steer do not load scipy."""
-    from scipy.linalg import expm as scipy_expm
+#: Coefficients c_0 .. c_13 of the [13/13] Pade approximant to e^x, and the
+#: largest 1-norm at which its backward error stays below the unit roundoff.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
-    return scipy_expm(a)
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham, "The scaling and
+    squaring method for the matrix exponential revisited", SIAM J. Matrix
+    Anal. Appl. 26(4), 2005): scale ``a`` by 2^-s so its 1-norm is at most
+    theta_13, evaluate the [13/13] Pade approximant (V - U)^-1 (V + U), and
+    square the result s times. A matrix whose 1-norm is not finite, as one
+    with a non-finite entry, gives all NaN."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    c = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    ident = np.eye(a.shape[0])
+    u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+             + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * ident)
+    v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+         + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 @dataclass(frozen=True)
@@ -260,14 +296,18 @@ def brute_force_min_drivers(
 
 def controllability_gramian(s: LtiSystem, tf: float) -> np.ndarray:
     """Finite-horizon Gramian int_0^tf e^(At) B B' e^(A't) dt by composite
-    Simpson quadrature over GRAMIAN_PANELS panels."""
+    Simpson quadrature over GRAMIAN_PANELS panels. The node e^(A k h) B is
+    the previous node times one step e^(A h), so one exponential serves all."""
     if not 0.0 < tf < np.inf:
         raise ContractViolationError(f"horizon tf must be positive and finite, got {tf}")
     h = tf / GRAMIAN_PANELS
+    step = expm(s.a * h)
     gram = np.zeros((s.n, s.n))
+    g_k = s.b
     for k in range(GRAMIAN_PANELS + 1):
+        if k:
+            g_k = step @ g_k
         coeff = 1.0 if k in (0, GRAMIAN_PANELS) else (4.0 if k % 2 else 2.0)
-        g_k = expm(s.a * (k * h)) @ s.b
         gram += coeff * (g_k @ g_k.T)
     return gram * (h / 3.0)
 
@@ -332,9 +372,10 @@ def steer(
 
     Raises UncontrollableError when A's off-diagonal pattern, driven at
     the rows of B's nonzeros, fails the sampled rank test, and
-    IllConditionedError when W overflows (advice: decrease tf) or cond(W)
-    exceeds 1e12 (advice: a smaller tf when W's largest eigenvalue
-    exceeds one, else a larger one, or other drivers).
+    IllConditionedError when W overflows (advice: decrease tf), when
+    cond(W) exceeds 1e12 (advice: a smaller tf when W's largest eigenvalue
+    exceeds one, else a larger one, or other drivers), or when a state, an
+    input, the final error or the energy is not finite in float64.
     """
     x0 = np.asarray(x0, dtype=float)
     xf = np.asarray(xf, dtype=float)
@@ -347,7 +388,7 @@ def steer(
 
     tails, heads = np.nonzero(s.a.T)  # in (tail, head) order, as edges sort
     off = tails != heads
-    drivers = s.b.nonzero()[0].tolist()  # each column's row, ascending
+    drivers = sorted(set(s.b.nonzero()[0].tolist()))  # np.unique loads numpy.ma
     b = _input_matrix(s.n, drivers)
     verdict = _sampled_rank(heads[off], tails[off], b, samples=3, tol=None, seed=seed)
     if not verdict.full_rank:
@@ -357,36 +398,44 @@ def steer(
 
     with np.errstate(over="ignore", invalid="ignore"):
         gram = controllability_gramian(s, tf)
-    if not np.isfinite(gram).all():
-        raise IllConditionedError(f"Gramian overflows at tf={tf:g}; try a smaller tf")
-    condition = float(np.linalg.cond(gram))
-    if condition > MAX_GRAMIAN_CONDITION:
-        # a largest eigenvalue above one means growth, which a shorter horizon
-        # curbs; below one, directions the inputs barely reach yet need longer
-        direction = "smaller" if np.linalg.eigvalsh(gram)[-1] > 1.0 else "larger"
+        if not np.isfinite(gram).all():
+            raise IllConditionedError(f"Gramian overflows at tf={tf:g}; try a smaller tf")
+        condition = float(np.linalg.cond(gram))
+        if condition > MAX_GRAMIAN_CONDITION:
+            # a largest eigenvalue above one means growth, which a shorter horizon
+            # curbs; below one, directions the inputs barely reach yet need longer
+            direction = "smaller" if np.linalg.eigvalsh(gram)[-1] > 1.0 else "larger"
+            raise IllConditionedError(
+                f"Gramian condition number {condition:.3e} exceeds "
+                f"{MAX_GRAMIAN_CONDITION:.0e}; try a {direction} tf or different drivers"
+            )
+        eta = np.linalg.solve(gram, xf - expm(s.a * tf) @ x0)
+
+        back = expm(s.a.T * (tf / (2 * steps)))
+        costate = eta  # e^(A'(tf - t)) eta, from t = tf down to t = 0
+        u_tab = np.empty((2 * steps + 1, s.m))
+        for i in range(2 * steps, -1, -1):
+            u_tab[i] = s.b.T @ costate
+            costate = back @ costate
+        states = _rk4(s, u_tab, x0, tf / steps)
+
+        norm_target = float(np.linalg.norm(xf))
+        err = float(np.linalg.norm(states[-1] - xf))
+        final_error = err / norm_target if norm_target > 0.0 else err
+
+        # |u|^2 on the half grid has 2*steps panels, an even count: Simpson.
+        sq = np.einsum("ij,ij->i", u_tab, u_tab)
+        weights = np.ones(2 * steps + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        energy = float((tf / (2 * steps) / 3.0) * (weights @ sq))
+    if not all(np.isfinite(v).all() for v in (states, u_tab, final_error, energy)):
         raise IllConditionedError(
-            f"Gramian condition number {condition:.3e} exceeds "
-            f"{MAX_GRAMIAN_CONDITION:.0e}; try a {direction} tf or different drivers"
+            "steering leaves the float64 range; try an x0 and xf of smaller "
+            "magnitude or a larger tf"
         )
-    eta = np.linalg.solve(gram, xf - expm(s.a * tf) @ x0)
 
     half = np.linspace(0.0, tf, 2 * steps + 1)
-    u_tab = np.empty((2 * steps + 1, s.m))
-    for i, t in enumerate(half):
-        u_tab[i] = s.b.T @ expm(s.a.T * (tf - t)) @ eta
-    states = _rk4(s, u_tab, x0, tf / steps)
-
-    norm_target = float(np.linalg.norm(xf))
-    err = float(np.linalg.norm(states[-1] - xf))
-    final_error = err / norm_target if norm_target > 0.0 else err
-
-    # |u|^2 on the half grid has 2*steps panels, an even count: Simpson.
-    sq = np.einsum("ij,ij->i", u_tab, u_tab)
-    weights = np.ones(2 * steps + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    energy = float((tf / (2 * steps) / 3.0) * (weights @ sq))
-
     return SteerResult(
         times=half[::2],
         states=states,

@@ -322,19 +322,31 @@ class TestGoldenBytes:
         assert main(["verify", str(path), *args, "--out", str(out)]) == code
         assert sha256_of(out) == report_sha
 
+    STEER_ARGS = ["--drivers", "0,2", "--x0", "1,0,-1,0.5", "--xf", "1,2,3,4",
+                  "--steps", "20"]
+    STEER_SUMMARY = (
+        "final_state_relative_error=2.02726e-07 input_energy=503.113 "
+        "gramian_condition=104.499\n"
+    )
+    STEER_SHA = "e1ed545b6c14ad02ef3b88d1f7e718ffc16ef640b09743b8a10103a5140c0311"
+
     def test_steer_bytes(self, capsys, chain_file, tmp_path):
         out = tmp_path / "traj.csv"
-        assert main([
-            "steer", chain_file, "--drivers", "0,2", "--x0", "1,0,-1,0.5",
-            "--xf", "1,2,3,4", "--steps", "20", "--out", str(out),
-        ]) == 0
-        assert capsys.readouterr().out == (
-            "final_state_relative_error=2.02726e-07 input_energy=503.113 "
-            "gramian_condition=104.499\n"
-        )
-        assert sha256_of(out) == (
-            "e1ed545b6c14ad02ef3b88d1f7e718ffc16ef640b09743b8a10103a5140c0311"
-        )
+        assert main(["steer", chain_file, *self.STEER_ARGS, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == self.STEER_SUMMARY
+        assert sha256_of(out) == self.STEER_SHA
+
+    def test_steer_bytes_with_scipy_blocked(self, chain_file, tmp_path):
+        # steer needs numpy alone: a None entry makes every scipy import fail
+        src = Path(netctl.__file__).resolve().parents[1]
+        out = tmp_path / "traj.csv"
+        argv = ["steer", chain_file, *self.STEER_ARGS, "--out", str(out)]
+        probe = ("import sys; sys.modules['scipy'] = None; "
+                 f"from netctl.cli import main; sys.exit(main({argv!r}))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (result.returncode, result.stdout, result.stderr) == (0, self.STEER_SUMMARY, "")
+        assert sha256_of(out) == self.STEER_SHA
 
     def test_readme_sweep_bytes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -672,6 +684,26 @@ class TestSteer:
         err = capfd.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "smaller tf" in err
+        assert not recwarn.list
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--xf", "1e308,1e308,1e308"],  # RK4's intermediate sums overflow
+        ["--xf", "1e300,1e300,1e300"],  # the norm of the target overflows
+        ["--xf", "1,1,1", "--tf", "1e-300"],  # the sum of squared inputs overflows
+    ])
+    def test_non_finite_steering_exits_3_with_one_line(
+        self, capfd, recwarn, tmp_path, flags
+    ):
+        path = tmp_path / "chain3.txt"
+        path.write_text("0 1\n1 2\n")
+        out = tmp_path / "traj.csv"
+        args = ["steer", str(path), "--drivers", "0,1,2", *flags, "--out", str(out)]
+        assert main(args) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "float64 range" in captured.err
         assert not recwarn.list
         assert not out.exists()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 from netctl.errors import (
     ContractViolationError,
@@ -14,10 +14,12 @@ from netctl.errors import (
 )
 from netctl.graph import DirectedGraph
 from netctl.kalman import (
+    GRAMIAN_PANELS,
     LtiSystem,
     brute_force_min_drivers,
     controllability_gramian,
     controllability_matrix,
+    expm,
     matrix_rank,
     simulate,
     steer,
@@ -30,6 +32,7 @@ from .oracles import (
     controllability_matrix_naive,
     controllability_matrix_reference,
     expm_reference,
+    gramian_reference,
     structural_rank_test_reference,
 )
 
@@ -229,7 +232,7 @@ class TestOnePatternPerRankTest:
                 passed += 1
                 continue
             assert str(raised.value) == (
-                f"driver set {sorted(rows.tolist())} fails the rank test "
+                f"driver set {sorted(set(rows.tolist()))} fails the rank test "
                 f"(rank {verdict.rank} of {n})"
             )
             refused.update(
@@ -272,7 +275,7 @@ class TestGramian:
         tf = 1.0
         w = controllability_gramian(s, tf)
         m = np.block([[-s.a, s.b @ s.b.T], [np.zeros((s.n, s.n)), s.a.T]])
-        em = expm(m * tf)
+        em = scipy_expm(m * tf)
         w_ref = em[s.n :, s.n :].T @ em[: s.n, s.n :]
         np.testing.assert_allclose(w, w_ref, atol=1e-10)
 
@@ -280,15 +283,65 @@ class TestGramian:
         w = controllability_gramian(star_system(drivers=(0,)), 1.0)
         assert np.linalg.matrix_rank(w) == 2
 
+    @pytest.mark.parametrize("n, tf, seed", [(2, 0.5, 0), (3, 1.0, 1), (5, 2.0, 2)])
+    def test_matches_high_precision_simpson_reference(self, n, tf, seed):
+        # the chained nodes step^k B against exact nodes e^(A k h) B
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.5, 1.5, size=(n, n))
+        b = np.eye(n)[:, : max(1, n // 2)]
+        w = controllability_gramian(LtiSystem(a=a, b=b), tf)
+        w_ref = gramian_reference(a, b, tf, GRAMIAN_PANELS)
+        assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+
+def assert_expm_close(a: np.ndarray) -> None:
+    """Norm-wise relative error against the 50-digit exponential."""
+    ref = expm_reference(a)
+    assert np.linalg.norm(expm(a) - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestExpmContract:
+    THETA_13 = 5.371920351148152  # the largest 1-norm the Pade step takes unscaled
+
+    def test_zero_matrix(self):
+        assert_expm_close(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("x", [-7.5, 0.3, 2.0, 40.0])
+    def test_one_by_one(self, x):
+        assert_expm_close(np.array([[x]]))
+
+    def test_nilpotent_chain(self):
+        a = np.diag([0.7, -1.3, 2.0, 0.9], k=-1)
+        assert_expm_close(a)
+
+    def test_norm_needing_no_squaring(self):
+        a = np.random.default_rng(4).uniform(-1.0, 1.0, size=(4, 4))
+        a *= 0.99 * self.THETA_13 / np.abs(a).sum(axis=0).max()
+        assert_expm_close(a)
+
+    def test_norm_needing_eight_squarings(self):
+        # a damped rotation by 700 radians: bounded, yet its 1-norm is 701
+        a = np.array([[-1.0, 700.0], [-700.0, -1.0]])
+        assert np.abs(a).sum(axis=0).max() > self.THETA_13 * 2**7
+        assert_expm_close(a)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_scipy_expm_close_to_high_precision_reference(self, seed, n):
+        # scipy's expm is TestGramian's independent reference; netctl's own is
+        # held to 1e-12 relative on the same matrices
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1.5, 1.5, size=(n, n))
         np.fill_diagonal(a, 0.0)
-        assert np.linalg.norm(expm(a) - expm_reference(a)) <= 1e-10
+        ref = expm_reference(a)
+        assert np.linalg.norm(scipy_expm(a) - ref) <= 1e-10
+        assert np.linalg.norm(expm(a) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_gives_all_nan(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        assert np.isnan(expm(a)).all()
 
 
 class TestSteer:
